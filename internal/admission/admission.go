@@ -35,6 +35,8 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+
+	"scaltool/internal/price"
 )
 
 // Rejection is a machine-readable admission refusal. Status is the HTTP
@@ -55,31 +57,9 @@ func Reject(status int, code, format string, args ...any) *Rejection {
 }
 
 // Cost is the predicted resource footprint of admitting one request — the
-// unit both budgets and the ledger account in.
-type Cost struct {
-	// Cycles is the predicted simulated-cycle total across every run of the
-	// request's campaign, summed over processors (an upper bound; this is
-	// the unit CPU time scales with).
-	Cycles float64
-	// AllocBytes is the predicted peak allocation footprint: simulator cache
-	// and directory state, gather address lists, and retained results.
-	AllocBytes int64
-	// TimelineBytes is the retained per-region × per-processor timeline and
-	// counter data of the campaign's results (what the run cache will hold).
-	TimelineBytes int64
-	// Runs counts the campaign's planned simulation runs.
-	Runs int
-}
-
-// Plus returns the sum of two costs.
-func (c Cost) Plus(o Cost) Cost {
-	return Cost{
-		Cycles:        c.Cycles + o.Cycles,
-		AllocBytes:    c.AllocBytes + o.AllocBytes,
-		TimelineBytes: c.TimelineBytes + o.TimelineBytes,
-		Runs:          c.Runs + o.Runs,
-	}
-}
+// unit both budgets and the ledger account in. It is defined with the unit
+// prices in internal/price, below the recipe memo that stores it per run.
+type Cost = price.Cost
 
 // Budget bounds what one request may cost and what the server will hold in
 // flight. Zero fields select the defaults.

@@ -8,6 +8,7 @@ import (
 	"scaltool/internal/apps"
 	"scaltool/internal/campaign"
 	"scaltool/internal/machine"
+	"scaltool/internal/price"
 )
 
 // TestDefaultBudgetAdmitsBuiltins calibrates the default budgets: every
@@ -279,7 +280,7 @@ func TestSpecEstimateMatchesWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		walk := EstimateProgram(cfg, built)
+		walk := price.Program(cfg, built)
 		closed := app.(RunEstimator).EstimateRun(cfg, procs, size)
 		if closed.Cycles < walk.Cycles*0.5 || closed.Cycles > walk.Cycles*2 {
 			t.Fatalf("procs=%d: closed-form %.3g vs walk %.3g cycles — diverged", procs, closed.Cycles, walk.Cycles)

@@ -7,23 +7,26 @@ import (
 	"scaltool/internal/apps"
 	"scaltool/internal/campaign"
 	"scaltool/internal/machine"
-	"scaltool/internal/sim"
+	"scaltool/internal/price"
+	"scaltool/internal/recipe"
 )
 
 // Cost estimation. The admission decision needs the cost of a campaign
 // *before* the campaign exists, from quantities a hostile client controls:
 // regions × processors × dataset fraction. Two estimators provide it:
 //
-//   - EstimateProgram walks a built sim.Program and prices its ops.
+//   - price.Program walks a built sim.Program and prices its ops; the
+//     recipe memo keeps that price per run, so a run is walked once.
 //   - A RunEstimator (user program specs) prices a run in closed form from
 //     the spec's counts, without building anything — building is exactly the
 //     step whose allocations must be bounded first.
 //
-// Both charge the same pessimistic unit prices (accessCycles, barrier
-// hot-spot serialization), so built-in and user-submitted programs are
-// budgeted on the same scale. These are upper bounds, not predictions: the
-// point is that no admitted request can cost more than estimated, and
-// budgets are calibrated against the same estimator so the slack cancels.
+// Both charge the same pessimistic unit prices (internal/price: worst-case
+// accesses, barrier hot-spot serialization), so built-in and user-submitted
+// programs are budgeted on the same scale. These are upper bounds, not
+// predictions: the point is that no admitted request can cost more than
+// estimated, and budgets are calibrated against the same estimator so the
+// slack cancels.
 
 // RunEstimator is implemented by applications that can price a run in
 // closed form. EstimatePlan uses it instead of building the program — the
@@ -31,98 +34,6 @@ import (
 // are the thing being gated.
 type RunEstimator interface {
 	EstimateRun(cfg machine.Config, procs int, dataBytes uint64) Cost
-}
-
-// Per-entity accounting sizes (bytes, deliberately generous): simulator
-// cache-line state, directory/page-table entries, and retained per-region ×
-// per-processor timeline records.
-const (
-	lineStateBytes = 64
-	pageStateBytes = 96
-	phaseBytes     = 128
-	procStateBytes = 512
-)
-
-// accessCycles prices one memory access at its worst: L1 miss, L2 miss,
-// remote home (hypercube diameter hops), dirty forward.
-func accessCycles(cfg machine.Config, procs int) float64 {
-	hops := 1
-	for nodes := (procs + cfg.ProcsPerRouter - 1) / cfg.ProcsPerRouter; nodes > 1; nodes /= 2 {
-		hops++
-	}
-	return cfg.Cost.L1HitCPI +
-		float64(cfg.Lat.L2Hit+cfg.Lat.MemLocal+cfg.Lat.Directory+cfg.Lat.DirtyFwd+cfg.Lat.TLBMiss) +
-		float64(2*hops*cfg.Lat.RouterHop)
-}
-
-// barrierCycles prices one region's closing barrier: entry/exit
-// instructions and fetchop acquire per processor, plus the release flag's
-// serialized per-waiter service — the hot spot that grows with the
-// processor count — charged to every waiter.
-func barrierCycles(cfg machine.Config, procs int) float64 {
-	p := float64(procs)
-	return p*(float64(cfg.Sync.BarrierInstr)*cfg.Cost.ComputeCPI+float64(cfg.Lat.SyncAcquire)) +
-		p*p*float64(cfg.Lat.SyncService)
-}
-
-// opTally accumulates a program's (or spec's) raw counts.
-type opTally struct {
-	instr         float64 // non-memory instructions, all processors
-	accesses      float64 // memory accesses, all processors
-	criticalInstr float64 // instructions inside critical sections
-	gatherBytes   int64   // retained gather address-list bytes
-	regions       int
-}
-
-// cost prices a tally on a machine.
-func (t opTally) cost(cfg machine.Config, procs int, spaceBytes uint64) Cost {
-	cycles := t.instr*cfg.Cost.ComputeCPI + t.accesses*accessCycles(cfg, procs)
-	// Critical sections serialize across processors: the worst waiter sees
-	// every other processor's sections ahead of its own.
-	cycles += t.criticalInstr * cfg.Cost.ComputeCPI * float64(procs-1)
-	cycles += float64(t.regions) * barrierCycles(cfg, procs)
-
-	lines := int64(spaceBytes) / int64(cfg.L2.LineBytes)
-	if fa := int64(t.accesses); lines > fa { // can't touch more lines than accesses
-		lines = fa
-	}
-	pages := int64(spaceBytes)/int64(cfg.PageBytes) + 1
-	timeline := int64(t.regions)*int64(procs)*phaseBytes + int64(procs)*procStateBytes
-	alloc := int64(procs)*int64(cfg.L1.Lines()+cfg.L2.Lines())*lineStateBytes +
-		lines*lineStateBytes + pages*pageStateBytes + t.gatherBytes + timeline
-
-	return Cost{Cycles: cycles, AllocBytes: alloc, TimelineBytes: timeline, Runs: 1}
-}
-
-// EstimateProgram prices one built program: the predicted simulated cycles
-// (upper bound), allocation footprint, and retained timeline bytes of
-// running it on cfg.
-func EstimateProgram(cfg machine.Config, prog *sim.Program) Cost {
-	var t opTally
-	regions := prog.Regions()
-	t.regions = len(regions)
-	for ri := range regions {
-		for pi := range regions[ri].Streams {
-			for _, op := range regions[ri].Streams[pi].Ops {
-				switch op.Kind {
-				case sim.OpCompute:
-					t.instr += float64(op.Instr)
-				case sim.OpSeq:
-					t.accesses += float64(op.Count)
-					t.instr += float64(op.Count) * float64(op.InstrPer)
-				case sim.OpGather:
-					n := float64(len(op.Addrs))
-					t.accesses += n
-					t.instr += n * float64(op.InstrPer)
-					t.gatherBytes += int64(len(op.Addrs)) * 8
-				case sim.OpCritical:
-					t.instr += float64(op.Instr) + float64(cfg.Sync.LockInstr)
-					t.criticalInstr += float64(op.Instr)
-				}
-			}
-		}
-	}
-	return t.cost(cfg, prog.Procs, prog.SpaceBytes())
 }
 
 // EstimatePlan prices the full campaign a plan implies — base runs at every
@@ -137,21 +48,24 @@ func EstimateProgram(cfg machine.Config, prog *sim.Program) Cost {
 // use; transient build/run footprints are charged for that many concurrent
 // runs, retained timelines for all of them.
 func (b Budget) EstimatePlan(cfg machine.Config, app apps.App, plan campaign.Plan, workers int) (Cost, *Rejection) {
+	return b.EstimatePlanMemo(nil, cfg, app, plan, workers)
+}
+
+// EstimatePlanMemo is EstimatePlan with each application run's price taken
+// from memo: a run is built only on a memo miss, so pricing a request seen
+// before builds nothing. A nil memo builds every run, as EstimatePlan does.
+func (b Budget) EstimatePlanMemo(memo *recipe.Memo, cfg machine.Config, app apps.App, plan campaign.Plan, workers int) (Cost, *Rejection) {
 	b = b.withDefaults()
 	if workers < 1 {
 		workers = 1
 	}
 
-	type runShape struct {
-		procs int
-		size  uint64
-	}
-	runs := make([]runShape, 0, len(plan.ProcCounts)+len(plan.UniSizes))
+	runs := make([]recipe.Recipe, 0, len(plan.ProcCounts)+len(plan.UniSizes))
 	for _, n := range plan.ProcCounts {
-		runs = append(runs, runShape{procs: n, size: plan.S0})
+		runs = append(runs, recipe.Recipe{Cfg: cfg, App: app, Kind: recipe.Base, Procs: n, Size: plan.S0})
 	}
 	for _, s := range plan.UniSizes {
-		runs = append(runs, runShape{procs: 1, size: s})
+		runs = append(runs, recipe.Recipe{Cfg: cfg, App: app, Kind: recipe.Uni, Procs: 1, Size: s})
 	}
 
 	est, _ := app.(RunEstimator)
@@ -163,7 +77,7 @@ func (b Budget) EstimatePlan(cfg machine.Config, app apps.App, plan campaign.Pla
 		largestBuild  uint64
 		rejectedBuild *Rejection
 	)
-	price := func(c Cost) {
+	add := func(c Cost) {
 		cycles += c.Cycles
 		retained += c.TimelineBytes
 		if tr := c.AllocBytes - c.TimelineBytes; tr > maxTransient {
@@ -175,27 +89,27 @@ func (b Budget) EstimatePlan(cfg machine.Config, app apps.App, plan campaign.Pla
 		// Pre-build gate: the build's own allocations are O(size) (address
 		// lists, partition tables), so a size over the byte budget must be
 		// refused before Build runs, not after.
-		if r.size > largestBuild {
-			largestBuild = r.size
+		if r.Size > largestBuild {
+			largestBuild = r.Size
 		}
-		if int64(r.size) > b.MaxRequestBytes {
+		if int64(r.Size) > b.MaxRequestBytes {
 			rejectedBuild = Reject(http.StatusRequestEntityTooLarge, "cost_bytes",
 				"campaign data-set size %d bytes exceeds the per-request byte budget of %d (building it would, before simulating anything)",
-				r.size, b.MaxRequestBytes) //scalvet:ignore rejection early-exit: fires at most once, then breaks
+				r.Size, b.MaxRequestBytes) //scalvet:ignore rejection early-exit: fires at most once, then breaks
 			break
 		}
 		if est != nil {
-			price(est.EstimateRun(cfg, r.procs, r.size))
+			add(est.EstimateRun(cfg, r.Procs, r.Size))
 			continue
 		}
-		prog, err := app.Build(cfg, r.procs, r.size)
+		c, err := memo.Cost(r, recipe.Admission)
 		if err != nil {
 			// The campaign skips sizes the application's grid cannot realize;
 			// so does the estimate. A base-run build error surfaces later as
 			// the request's own semantic failure.
 			continue
 		}
-		price(EstimateProgram(cfg, prog))
+		add(c)
 	}
 	if rejectedBuild != nil {
 		return Cost{}, rejectedBuild
@@ -205,14 +119,14 @@ func (b Budget) EstimatePlan(cfg machine.Config, app apps.App, plan campaign.Pla
 	// spin kernel. Their footprints are tiny and fixed; price them as pure
 	// barrier/spin work so the totals stay honest.
 	for _, n := range plan.ProcCounts {
-		kc := float64(apps.SyncKernelBarriers) * barrierCycles(cfg, n)
+		kc := float64(apps.SyncKernelBarriers) * price.Barrier(cfg, n)
 		cycles += kc
-		retained += int64(n)*phaseBytes + int64(n)*procStateBytes
+		retained += int64(n)*price.PhaseBytes + int64(n)*price.ProcStateBytes
 		nRuns++
 	}
 	nmax := plan.ProcCounts[len(plan.ProcCounts)-1]
-	cycles += 20 * barrierCycles(cfg, nmax) * 4 // spin kernel: barriers + spin-wait padding
-	retained += int64(nmax) * (phaseBytes + procStateBytes)
+	cycles += apps.SpinKernelPhases * price.Barrier(cfg, nmax) * 4 // spin kernel: barriers + spin-wait padding
+	retained += int64(nmax) * (price.PhaseBytes + price.ProcStateBytes)
 	nRuns++
 
 	conc := workers
@@ -238,7 +152,13 @@ func (b Budget) EstimatePlan(cfg machine.Config, app apps.App, plan campaign.Pla
 // bounded by one more copy of the campaign's retained timeline records,
 // so it is charged exactly that.
 func (b Budget) EstimateDiagnose(cfg machine.Config, app apps.App, plan campaign.Plan, workers int) (Cost, *Rejection) {
-	c, rej := b.EstimatePlan(cfg, app, plan, workers)
+	return b.EstimateDiagnoseMemo(nil, cfg, app, plan, workers)
+}
+
+// EstimateDiagnoseMemo is EstimateDiagnose with run prices from memo, as
+// EstimatePlanMemo.
+func (b Budget) EstimateDiagnoseMemo(memo *recipe.Memo, cfg machine.Config, app apps.App, plan campaign.Plan, workers int) (Cost, *Rejection) {
+	c, rej := b.EstimatePlanMemo(memo, cfg, app, plan, workers)
 	if rej != nil {
 		return Cost{}, rej
 	}

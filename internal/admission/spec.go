@@ -1,12 +1,17 @@
 package admission
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 
 	"scaltool/internal/apps"
+	"scaltool/internal/assert"
 	"scaltool/internal/machine"
+	"scaltool/internal/price"
 	"scaltool/internal/sim"
 )
 
@@ -164,12 +169,29 @@ func (s *ProgramSpec) TotalElems() uint64 {
 // App adapts a validated spec to the apps.App interface, so the standard
 // campaign/plan/model pipeline runs user programs unchanged. The adapter
 // also implements RunEstimator, which is what EstimatePlan uses in place of
-// Build during admission.
-func (s *ProgramSpec) App() apps.App { return &specApp{spec: s} }
+// Build during admission, and recipe.Identified: its identity is a SHA-256
+// of the spec's canonical JSON, never its name. The adapter works on a
+// snapshot of the spec, so changing s afterwards cannot make the identity
+// disagree with what it builds.
+func (s *ProgramSpec) App() apps.App {
+	snap := *s
+	snap.Arrays = slices.Clone(s.Arrays)
+	snap.Regions = slices.Clone(s.Regions)
+	for i := range snap.Regions {
+		snap.Regions[i].Ops = slices.Clone(snap.Regions[i].Ops)
+	}
+	doc, err := json.Marshal(&snap)
+	assert.True(err == nil, "admission: encoding a ProgramSpec: %v", err)
+	return &specApp{spec: &snap, id: sha256.Sum256(doc)}
+}
 
 type specApp struct {
 	spec *ProgramSpec
+	id   [sha256.Size]byte // SHA-256 of the spec's canonical JSON
 }
+
+// ContentID identifies the spec by content for the recipe memo.
+func (a *specApp) ContentID() [sha256.Size]byte { return a.id }
 
 func (a *specApp) Name() string        { return "user:" + a.spec.Name }
 func (a *specApp) Description() string { return "user-submitted program spec" }
@@ -320,7 +342,7 @@ const defaultGatherEvery = 64
 
 // EstimateRun prices one campaign run of this spec in closed form — no
 // building, no allocation proportional to any client-controlled count. The
-// unit prices match EstimateProgram's exactly.
+// unit prices match price.Program's exactly.
 func (a *specApp) EstimateRun(cfg machine.Config, procs int, dataBytes uint64) Cost {
 	s := a.spec
 	lineElems := uint64(cfg.L2.LineBytes) / apps.ElemBytes
@@ -329,8 +351,8 @@ func (a *specApp) EstimateRun(cfg machine.Config, procs int, dataBytes uint64) C
 	}
 	defaultBytes := a.DefaultBytes(cfg)
 
-	var t opTally
-	t.regions = len(s.Regions)
+	var t price.Tally
+	t.Regions = len(s.Regions)
 	var space uint64
 	elems := map[string]uint64{}
 	for _, ar := range s.Arrays {
@@ -346,10 +368,10 @@ func (a *specApp) EstimateRun(cfg machine.Config, procs int, dataBytes uint64) C
 		for _, op := range rs.Ops {
 			switch op.Kind {
 			case "compute":
-				t.instr += workers * float64(op.Instr)
+				t.Instr += workers * float64(op.Instr)
 			case "critical":
-				t.instr += workers * (float64(op.Instr) + float64(cfg.Sync.LockInstr))
-				t.criticalInstr += workers * float64(op.Instr)
+				t.Instr += workers * (float64(op.Instr) + float64(cfg.Sync.LockInstr))
+				t.CriticalInstr += workers * float64(op.Instr)
 			case "read", "write", "gather":
 				// Across all participants one pass covers the whole array
 				// (serial: one processor covers it alone), plus halo overlap.
@@ -360,14 +382,14 @@ func (a *specApp) EstimateRun(cfg machine.Config, procs int, dataBytes uint64) C
 						every = defaultGatherEvery
 					}
 					accesses = float64(elems[op.Array]) / float64(every)
-					t.gatherBytes += int64(accesses+float64(procs)) * 8
+					t.GatherBytes += int64(accesses+float64(procs)) * 8
 				}
-				t.accesses += accesses
-				t.instr += accesses * float64(op.InstrPer)
+				t.Accesses += accesses
+				t.Instr += accesses * float64(op.InstrPer)
 			}
 		}
 	}
-	return t.cost(cfg, procs, space)
+	return t.Cost(cfg, procs, space)
 }
 
 // String renders a short human identity for logs.

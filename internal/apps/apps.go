@@ -68,6 +68,15 @@ func ByName(name string) (App, error) {
 	return a, nil
 }
 
+// Registered reports whether a is the registry's own instance of its name —
+// not merely an application of the same type, which may carry different
+// parameters (a custom-Params *Swim builds different programs than the
+// registered swim).
+func Registered(a App) bool {
+	r, ok := registry[a.Name()]
+	return ok && r == a
+}
+
 // Names lists the registered applications, sorted.
 func Names() []string {
 	out := make([]string, 0, len(registry))

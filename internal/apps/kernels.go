@@ -13,6 +13,13 @@ import (
 // SyncKernelBarriers is the default barrier count for the sync kernel.
 const SyncKernelBarriers = 200
 
+// SpinKernelPhases and SpinKernelWork are the campaign's spin-kernel shape:
+// phases of one busy processor's work against idle spinners.
+const (
+	SpinKernelPhases = 20
+	SpinKernelWork   = 50_000
+)
+
 // BuildSyncKernel returns the paper's synchronization kernel: "simply a
 // loop where processors come in and out of barriers" with no spinning
 // beyond the barrier mechanism itself (all processors arrive together).

@@ -31,6 +31,7 @@ import (
 	"scaltool/internal/model"
 	"scaltool/internal/obs"
 	"scaltool/internal/perftools"
+	"scaltool/internal/recipe"
 	"scaltool/internal/runcache"
 	"scaltool/internal/sim"
 )
@@ -254,20 +255,25 @@ type Runner struct {
 	// faults, hangs) still fire per attempt; only the simulation itself is
 	// elided.
 	Cache *runcache.Cache
+	// Recipes, when non-nil, memoizes each run's content key (see
+	// internal/recipe), so a run the cache already holds is answered without
+	// building or hashing its program; a cache miss builds it then. Share
+	// one memo per Cache.
+	Recipes *recipe.Memo
 }
 
-// Job kinds, in plan order.
+// Job kinds, in plan order: the recipe kinds (internal/recipe).
 const (
-	jobBase = iota // application at s0, one run per processor count
-	jobUni         // uniprocessor application at a fractional size
-	jobSync        // barrier-loop estimation kernel
-	jobSpin        // idle-spin estimation kernel
+	jobBase = recipe.Base // application at s0, one run per processor count
+	jobUni  = recipe.Uni  // uniprocessor application at a fractional size
+	jobSync = recipe.Sync // barrier-loop estimation kernel
+	jobSpin = recipe.Spin // idle-spin estimation kernel
 )
 
 var kindNames = [...]string{jobBase: "base", jobUni: "uni", jobSync: "ksync", jobSpin: "kspin"}
 
 type job struct {
-	kind  int
+	kind  recipe.Kind
 	procs int
 	size  uint64 // requested data-set size (0 for the kernels)
 	id    string
@@ -341,7 +347,7 @@ func (rn *Runner) execute(ctx context.Context, app apps.App, plan Plan, d *durab
 		spinProcs = 2
 	}
 	var jobs []job
-	addJob := func(kind, procs int, size uint64) {
+	addJob := func(kind recipe.Kind, procs int, size uint64) {
 		jobs = append(jobs, job{kind: kind, procs: procs, size: size, id: RunID(kindNames[kind], procs, size)})
 	}
 	for _, n := range plan.ProcCounts {
@@ -506,16 +512,7 @@ func (ex *executor) run(ctx context.Context, j job) {
 		mt.Counter("scaltool_campaign_runs_started_total", "campaign runs dispatched").Inc()
 	}
 	rn := ex.rn
-	var prog *sim.Program
-	var err error
-	switch j.kind {
-	case jobBase, jobUni:
-		prog, err = ex.app.Build(rn.Cfg, j.procs, j.size)
-	case jobSync:
-		prog, err = apps.BuildSyncKernel(rn.Cfg, j.procs, apps.SyncKernelBarriers)
-	case jobSpin:
-		prog, err = apps.BuildSpinKernel(rn.Cfg, j.procs, 20, 50_000)
-	}
+	key, prog, err := ex.materialize(j)
 	if err != nil {
 		// A size too small for the app's grid is an expected skip for
 		// uniprocessor fractions; the model interpolates across it.
@@ -535,6 +532,18 @@ func (ex *executor) run(ctx context.Context, j job) {
 		ex.fail(ctx, j, fmt.Errorf("campaign: building %s: %w", j.id, err))
 		return
 	}
+	// A memo hit leaves prog nil: the program is built only if the run
+	// cache misses, by whichever attempt runs the simulation.
+	run := func(rctx context.Context) (*sim.Result, error) {
+		if prog == nil {
+			p, err := rn.Recipes.Build(ex.recipe(j), recipe.Campaign)
+			if err != nil {
+				return nil, fmt.Errorf("building %s: %w", j.id, err)
+			}
+			prog = p
+		}
+		return sim.RunContext(rctx, rn.Cfg, prog)
+	}
 	w := ex.sup.register(j.id)
 	defer ex.sup.release(j.id)
 	for attempt := 0; ; attempt++ {
@@ -553,7 +562,7 @@ func (ex *executor) run(ctx context.Context, j job) {
 			actx = sim.WithHeartbeat(actx, w.heartbeat)
 			defer acancel() //scalvet:ignore ctx-cancel released by disarm/kick each iteration; defer is the leak backstop
 		}
-		out, err := ex.attempt(actx, j, prog, attempt)
+		out, err := ex.attempt(actx, j, key, run, attempt)
 		kicked, poisoned := w.disarm()
 		if poisoned {
 			ex.quarantineHung(ctx, j, w)
@@ -632,9 +641,26 @@ func (ex *executor) quarantineHung(ctx context.Context, j job, w *worker) {
 	}
 }
 
+// recipe is the recipe of a job's program.
+func (ex *executor) recipe(j job) recipe.Recipe {
+	return recipe.Recipe{Cfg: ex.rn.Cfg, App: ex.app, Kind: j.kind, Procs: j.procs, Size: j.size}
+}
+
+// materialize resolves a job to its run-cache key through the recipe memo,
+// returning the program too when it had to be built. Without a run cache
+// there is nothing to key: the program is just built.
+func (ex *executor) materialize(j job) (runcache.Key, *sim.Program, error) {
+	if ex.rn.Cache == nil {
+		prog, err := ex.rn.Recipes.Build(ex.recipe(j), recipe.Campaign)
+		return runcache.Key{}, prog, err
+	}
+	return ex.rn.Recipes.Key(ex.recipe(j), recipe.Campaign)
+}
+
 // attempt executes one try of one run under the per-attempt deadline,
-// consulting the injector for transient failures and hangs.
-func (ex *executor) attempt(ctx context.Context, j job, prog *sim.Program, attempt int) (_ *sim.Result, err error) {
+// consulting the injector for transient failures and hangs. run simulates
+// the job's program; the run cache calls it only on a miss.
+func (ex *executor) attempt(ctx context.Context, j job, key runcache.Key, run runcache.RunFunc, attempt int) (_ *sim.Result, err error) {
 	rn := ex.rn
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "attempt", obs.A("n", attempt))
@@ -666,9 +692,7 @@ func (ex *executor) attempt(ctx context.Context, j job, prog *sim.Program, attem
 		<-actx.Done()
 		return nil, fmt.Errorf("campaign: %s attempt %d hung until its deadline: %w", j.id, attempt, actx.Err())
 	}
-	out, hit, err := rn.Cache.GetOrRun(actx, rn.Cfg, prog, func(rctx context.Context) (*sim.Result, error) {
-		return sim.RunContext(rctx, rn.Cfg, prog)
-	})
+	out, hit, err := rn.Cache.GetOrRunKey(actx, key, run)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %s attempt %d: %w", j.id, attempt, err)
 	}

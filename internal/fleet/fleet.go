@@ -43,6 +43,7 @@ import (
 
 	"scaltool/internal/client"
 	"scaltool/internal/obs"
+	"scaltool/internal/recipe"
 )
 
 // Replica names one backend of the fleet. Name is the stable rendezvous
@@ -141,6 +142,8 @@ type Router struct {
 	mu      sync.RWMutex
 	members []*member
 
+	recipes *recipe.Memo // placement keys of documents routed before
+
 	draining atomic.Bool
 	inflight sync.WaitGroup
 	mux      *http.ServeMux
@@ -151,6 +154,7 @@ type Router struct {
 // failover still works through the breakers.
 func NewRouter(opts Options) *Router {
 	rt := &Router{opts: opts.withDefaults()}
+	rt.recipes = recipe.New(rt.meter())
 	for _, r := range rt.opts.Replicas {
 		rt.addMember(r.Name, r.URL)
 	}

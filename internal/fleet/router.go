@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"scaltool/internal/client"
+	"scaltool/internal/recipe"
 	"scaltool/internal/serve"
 )
 
@@ -93,7 +94,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := routingKeyFor(body)
+	key := routingKeyFor(rt.recipes, body)
 	res := rt.forward(r.Context(), route, key, rid, body)
 	for _, h := range []string{"Content-Type", "Retry-After"} {
 		if v := res.header.Get(h); v != "" {
@@ -111,13 +112,15 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 // routingKeyFor computes a request's placement key. The document is decoded
 // leniently (unknown fields and schema violations are the REPLICA's call to
 // refuse — the router only needs a stable identity), and resolvable
-// documents map to the runcache content address via serve.RoutingKey. A
-// document that does not even parse hashes as raw bytes: still
-// deterministic, and the replica's 400 comes back cached-hot on repeats.
-func routingKeyFor(body []byte) string {
+// documents map to the runcache content address via serve.RoutingKey,
+// resolved through the router's recipe memo so a repeated document builds
+// and hashes nothing. A document that does not even parse hashes as raw
+// bytes: still deterministic, and the replica's 400 comes back cached-hot
+// on repeats.
+func routingKeyFor(memo *recipe.Memo, body []byte) string {
 	var req serve.Request
 	if err := json.Unmarshal(body, &req); err == nil {
-		return serve.RoutingKey(&req)
+		return serve.RoutingKey(memo, &req)
 	}
 	sum := sha256.Sum256(body)
 	return "raw:" + hex.EncodeToString(sum[:8])

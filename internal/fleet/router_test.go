@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"scaltool/internal/runcache"
 	"scaltool/internal/serve"
 )
 
@@ -184,7 +185,7 @@ func TestRouterFailoverPreservesRequestID(t *testing.T) {
 	// Name the replicas so the DEAD one is the rendezvous first choice for
 	// this document: try both assignments and keep the one where the dead
 	// backend wins the hash.
-	key := routingKeyFor(doc)
+	key := routingKeyFor(nil, doc)
 	names := []string{SlotName(0), SlotName(1)}
 	deadName, goodName := names[0], names[1]
 	if rendezvousScore(names[1], key) > rendezvousScore(names[0], key) {
@@ -236,7 +237,7 @@ func TestRouterRefusalFallsOverThenSurfaces(t *testing.T) {
 	// Mixed fleet: refusal from the first, success from the second.
 	ok := newStubBackend(t, http.StatusOK, `{"ok":true}`)
 	doc := analyzeDoc("swim", 2)
-	key := routingKeyFor(doc)
+	key := routingKeyFor(nil, doc)
 	busyName, okName := SlotName(0), SlotName(1)
 	if rendezvousScore(okName, key) > rendezvousScore(busyName, key) {
 		busyName, okName = okName, busyName
@@ -272,7 +273,7 @@ func TestRouterHedging(t *testing.T) {
 	fast := newStubBackend(t, http.StatusOK, `{"fast":true}`)
 
 	doc := analyzeDoc("swim", 2)
-	key := routingKeyFor(doc)
+	key := routingKeyFor(nil, doc)
 	slowName, fastName := SlotName(0), SlotName(1)
 	if rendezvousScore(fastName, key) > rendezvousScore(slowName, key) {
 		slowName, fastName = fastName, slowName
@@ -347,5 +348,30 @@ func TestRouterDrainAndGates(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("no-replica response missing Retry-After")
+	}
+}
+
+// TestRouterPlacementKeyMemoized: the router resolves placement keys
+// through its own recipe memo — the same key strings as an unmemoized
+// resolution (one pinned), and a repeated document hashes nothing.
+func TestRouterPlacementKeyMemoized(t *testing.T) {
+	rt := NewRouter(Options{})
+	doc := analyzeDoc("swim", 8)
+	const want = "8e8f1f3a4ad3d187736304f0331fce8631df179b348e8324010200e94cae3399"
+	if got := routingKeyFor(rt.recipes, doc); got != want {
+		t.Fatalf("router key %s; want %s", got, want)
+	}
+	keys := runcache.KeysComputed()
+	if got := routingKeyFor(rt.recipes, doc); got != want {
+		t.Fatalf("repeated router key %s; want %s", got, want)
+	}
+	if n := runcache.KeysComputed() - keys; n != 0 {
+		t.Fatalf("a repeated document computed %d content keys", n)
+	}
+	for _, d := range [][]byte{analyzeDoc("hydro2d", 16), analyzeDoc("nosuchapp", 4), []byte(`{"procs":`),
+		[]byte(`{"program":{"name":"p","arrays":[{"name":"a","elems":64}],"regions":[{"name":"r","ops":[{"kind":"read","array":"a"}]}]}}`)} {
+		if a, b := routingKeyFor(rt.recipes, d), routingKeyFor(nil, d); a != b {
+			t.Fatalf("%s: memoized key %s, unmemoized %s", d, a, b)
+		}
 	}
 }

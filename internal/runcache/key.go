@@ -20,6 +20,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"sync/atomic"
 
 	"scaltool/internal/machine"
 	"scaltool/internal/sim"
@@ -36,6 +37,14 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // spill directories from an older encoding never alias a new key.
 const keyVersion = 1
 
+// keysComputed counts KeyFor calls in this process (KeysComputed).
+var keysComputed atomic.Uint64
+
+// KeysComputed reports how many content keys this process has computed —
+// the check that a warm request, served through the recipe memo
+// (internal/recipe), hashes nothing.
+func KeysComputed() uint64 { return keysComputed.Load() }
+
 // KeyFor computes the content address of running prog on cfg.
 //
 // Canonicalization writes every semantic field of both inputs, each prefixed
@@ -46,8 +55,8 @@ const keyVersion = 1
 // savings. TestKeyCoversConfig pins the machine.Config field census so a new
 // config field cannot be forgotten here silently.
 func KeyFor(cfg machine.Config, prog *sim.Program) Key {
-	h := sha256.New()
-	w := keyWriter{h: h}
+	keysComputed.Add(1)
+	w := &keyWriter{h: sha256.New()}
 	w.u64(keyVersion)
 
 	// machine.Config, field by field.
@@ -106,27 +115,44 @@ func KeyFor(cfg machine.Config, prog *sim.Program) Key {
 				}
 				w.u64(op.InstrPer)
 				w.u64(uint64(len(op.Addrs)))
-				for _, a := range op.Addrs {
-					w.u64(a)
-				}
+				w.addrs(op.Addrs)
 			}
 		}
 	}
 
+	return w.sum()
+}
+
+// keyWriter streams canonical primitives into the digest through a fixed
+// buffer, so the hash sees a few large writes instead of one per field.
+// The byte stream is exactly the little-endian field sequence KeyFor
+// describes; batching changes only how it is cut into writes.
+type keyWriter struct {
+	h   hash.Hash
+	n   int
+	buf [4096]byte
+}
+
+// flush hands the buffered bytes to the digest.
+func (w *keyWriter) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
+}
+
+// sum flushes and returns the digest.
+func (w *keyWriter) sum() Key {
+	w.flush()
 	var k Key
-	h.Sum(k[:0])
+	w.h.Sum(k[:0])
 	return k
 }
 
-// keyWriter streams canonical primitives into the digest.
-type keyWriter struct {
-	h   hash.Hash
-	buf [8]byte
-}
-
 func (w *keyWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
+	if w.n+8 > len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], v)
+	w.n += 8
 }
 
 func (w *keyWriter) i64(v int64) { w.u64(uint64(v)) }
@@ -135,7 +161,34 @@ func (w *keyWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
 
 func (w *keyWriter) str(s string) {
 	w.u64(uint64(len(s)))
-	w.h.Write([]byte(s))
+	for len(s) > 0 {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		c := copy(w.buf[w.n:], s)
+		w.n += c
+		s = s[c:]
+	}
+}
+
+// addrs writes a gather address list, each address as one u64.
+func (w *keyWriter) addrs(as []uint64) {
+	for len(as) > 0 {
+		room := (len(w.buf) - w.n) / 8
+		if room == 0 {
+			w.flush()
+			continue
+		}
+		if room > len(as) {
+			room = len(as)
+		}
+		b := w.buf[w.n:]
+		for i, a := range as[:room] {
+			binary.LittleEndian.PutUint64(b[8*i:], a)
+		}
+		w.n += 8 * room
+		as = as[room:]
+	}
 }
 
 func (w *keyWriter) cache(c machine.CacheConfig) {

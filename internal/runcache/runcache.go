@@ -116,7 +116,18 @@ func (c *Cache) GetOrRun(ctx context.Context, cfg machine.Config, prog *sim.Prog
 		out, err := run(ctx)
 		return out, false, err
 	}
-	key := KeyFor(cfg, prog)
+	return c.GetOrRunKey(ctx, KeyFor(cfg, prog), run)
+}
+
+// GetOrRunKey is GetOrRun for a caller that already holds the run's content
+// key — from the recipe memo (internal/recipe), which knows it without
+// building the program. run then builds the program itself, and only on a
+// miss.
+func (c *Cache) GetOrRunKey(ctx context.Context, key Key, run RunFunc) (res *sim.Result, hit bool, err error) {
+	if c == nil {
+		out, err := run(ctx)
+		return out, false, err
+	}
 	mt := obs.Meter(ctx)
 
 	// One flight allocation serves every lap of the loop below: a lap that

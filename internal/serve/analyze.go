@@ -110,7 +110,7 @@ func (s *Server) validate(req *Request) (*resolved, *admission.Rejection) {
 // budget (the ledger gates the per-server one at admission).
 func (s *Server) estimate(rv *resolved) (admission.Cost, *admission.Rejection) {
 	budget := s.Budget()
-	cost, rej := budget.EstimatePlan(rv.cfg, rv.app, rv.plan, s.opts.SimWorkers)
+	cost, rej := budget.EstimatePlanMemo(s.recipes, rv.cfg, rv.app, rv.plan, s.opts.SimWorkers)
 	if rej != nil {
 		return admission.Cost{}, rej
 	}
@@ -178,15 +178,21 @@ type BreakdownRow struct {
 	Interpolated bool    `json:"interpolated,omitempty"`
 }
 
-// analyze runs the full pipeline for one resolved request: campaign
-// (through the shared run cache) → fit → response.
-func (s *Server) analyze(ctx context.Context, req *Request, rv *resolved) (*Response, error) {
-	rn := &campaign.Runner{
+// runner is the campaign runner of one resolved request: the shared run
+// cache, with the server's recipe memo in front of it.
+func (s *Server) runner(rv *resolved) *campaign.Runner {
+	return &campaign.Runner{
 		Cfg:     rv.cfg,
 		Workers: s.opts.SimWorkers,
 		Cache:   s.opts.Cache,
+		Recipes: s.recipes,
 	}
-	res, err := rn.Execute(ctx, rv.app, rv.plan)
+}
+
+// analyze runs the full pipeline for one resolved request: campaign
+// (through the shared run cache) → fit → response.
+func (s *Server) analyze(ctx context.Context, req *Request, rv *resolved) (*Response, error) {
+	res, err := s.runner(rv).Execute(ctx, rv.app, rv.plan)
 	if err != nil {
 		return nil, err
 	}

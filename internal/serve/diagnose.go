@@ -14,9 +14,9 @@ import (
 	"time"
 
 	"scaltool/internal/admission"
-	"scaltool/internal/campaign"
 	"scaltool/internal/diagnose"
 	"scaltool/internal/obs"
+	"scaltool/internal/recipe"
 )
 
 // POST /v1/diagnose: the root-cause endpoint. It takes the same request
@@ -158,7 +158,7 @@ func (s *Server) serveDiagnose(w http.ResponseWriter, r *http.Request, rid strin
 // budget, with the diagnosis surcharge on top of the plain campaign.
 func (s *Server) estimateDiagnose(rv *resolved) (admission.Cost, *admission.Rejection) {
 	budget := s.Budget()
-	cost, rej := budget.EstimateDiagnose(rv.cfg, rv.app, rv.plan, s.opts.SimWorkers)
+	cost, rej := budget.EstimateDiagnoseMemo(s.recipes, rv.cfg, rv.app, rv.plan, s.opts.SimWorkers)
 	if rej != nil {
 		return admission.Cost{}, rej
 	}
@@ -195,12 +195,7 @@ func (s *Server) diagnoseIsolated(ctx context.Context, req *Request, rv *resolve
 // (through the shared run cache) → attribution family → structure graph →
 // ranked report, self-verified before anything is sent.
 func (s *Server) diagnose(ctx context.Context, req *Request, rv *resolved) (*diagnose.Report, error) {
-	rn := &campaign.Runner{
-		Cfg:     rv.cfg,
-		Workers: s.opts.SimWorkers,
-		Cache:   s.opts.Cache,
-	}
-	res, err := rn.Execute(ctx, rv.app, rv.plan)
+	res, err := s.runner(rv).Execute(ctx, rv.app, rv.plan)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +204,7 @@ func (s *Server) diagnose(ctx context.Context, req *Request, rv *resolved) (*dia
 		return nil, err
 	}
 	nmax := rv.plan.ProcCounts[len(rv.plan.ProcCounts)-1]
-	prog, err := rv.app.Build(rv.cfg, nmax, rv.plan.S0)
+	prog, err := s.recipes.Build(recipe.Recipe{Cfg: rv.cfg, App: rv.app, Kind: recipe.Base, Procs: nmax, Size: rv.plan.S0}, recipe.Diagnose)
 	if err != nil {
 		return nil, fmt.Errorf("building structure graph: %w", err)
 	}

@@ -3,7 +3,7 @@ package serve
 import (
 	"scaltool/internal/apps"
 	"scaltool/internal/campaign"
-	"scaltool/internal/runcache"
+	"scaltool/internal/recipe"
 )
 
 // RoutingKey returns the content-based placement identity of a request —
@@ -11,7 +11,7 @@ import (
 // always lands on the replica that owns it.
 //
 // For a built-in application the key IS the runcache content address
-// (runcache.KeyFor) of the request's top run: the same digest the replica's
+// (runcache.KeyFor) of the request's top run — the same digest the replica's
 // cache files the simulation under, so two documents that normalize to the
 // same analysis (procs omitted vs 32, s0 omitted vs the app default) route
 // to the same replica and hit the same warm entry. User-submitted program
@@ -21,9 +21,13 @@ import (
 // priced by admission on the replica, never constructed by the router
 // (DESIGN.md §13).
 //
+// The top run's content key comes through memo (nil: none), so a document
+// routed before is placed without building or hashing its program; the key
+// strings are the same either way.
+//
 // The function never mutates its argument and never fails; routing must
 // stay total even for documents a replica will refuse.
-func RoutingKey(req *Request) string {
+func RoutingKey(memo *recipe.Memo, req *Request) string {
 	r := *req // defaults are applied to a copy
 	if r.Procs == 0 {
 		r.Procs = 32
@@ -37,8 +41,9 @@ func RoutingKey(req *Request) string {
 			if app, err := apps.ByName(r.App); err == nil {
 				cfg := configFor(r.Machine)
 				if plan, err := campaign.NewPlan(app, cfg, r.Procs, r.S0); err == nil {
-					if prog, err := app.Build(cfg, r.Procs, plan.S0); err == nil {
-						return runcache.KeyFor(cfg, prog).String()
+					top := recipe.Recipe{Cfg: cfg, App: app, Kind: recipe.Base, Procs: r.Procs, Size: plan.S0}
+					if key, _, err := memo.Key(top, recipe.Routing); err == nil {
+						return key.String()
 					}
 				}
 			}

@@ -50,6 +50,7 @@ import (
 	"scaltool/internal/admission"
 	"scaltool/internal/health"
 	"scaltool/internal/obs"
+	"scaltool/internal/recipe"
 	"scaltool/internal/runcache"
 )
 
@@ -97,6 +98,7 @@ type Server struct {
 	admitted   chan struct{} // admission slots: Workers + QueueDepth
 	ledger     *admission.Ledger
 	quarantine *health.QuarantineSet
+	recipes    *recipe.Memo // run recipe → content key and price, next to opts.Cache
 	drain      drainEstimator
 	draining   atomic.Bool
 	inflight   sync.WaitGroup
@@ -130,6 +132,7 @@ func New(opts Options) *Server {
 		ledger:     admission.NewLedger(opts.Budget),
 		quarantine: health.NewQuarantineSet(quarantineCapacity),
 	}
+	s.recipes = recipe.New(s.meter())
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("/v1/diagnose", s.handleDiagnose)
