@@ -459,7 +459,7 @@ func cmdPlan(args []string) error {
 // fitFor runs the campaign and fit. post, if non-nil, runs after the fit
 // under the same observed context (so its spans and metrics land in the
 // -trace-out/-metrics-out files) — the -diagnose-json hook.
-func fitFor(c *common, post func(context.Context, *campaign.Result) error) (*campaign.Result, *model.Model, error) {
+func fitFor(c *common, post func(context.Context, apps.App, *campaign.Result) error) (*campaign.Result, *model.Model, error) {
 	if err := c.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -493,7 +493,7 @@ func fitFor(c *common, post func(context.Context, *campaign.Result) error) (*cam
 		return nil, nil, fmt.Errorf("closing campaign journal: %w", err)
 	}
 	if post != nil {
-		if err := post(ctx, res); err != nil {
+		if err := post(ctx, app, res); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -506,26 +506,15 @@ func fitFor(c *common, post func(context.Context, *campaign.Result) error) (*cam
 // writeDiagnosis runs the region-graph root-cause analysis on a finished
 // campaign (internal/diagnose) and writes the self-verified ranked culprit
 // report as JSON.
-func writeDiagnosis(ctx context.Context, res *campaign.Result, path string) error {
-	fam, err := diagnose.FromCampaign(res)
-	if err != nil {
-		return fmt.Errorf("diagnose: %w", err)
-	}
-	app, err := apps.ByName(res.Plan.App)
-	if err != nil {
-		return fmt.Errorf("diagnose: %w", err)
-	}
+func writeDiagnosis(ctx context.Context, app apps.App, res *campaign.Result, path string) error {
 	nmax := res.Plan.ProcCounts[len(res.Plan.ProcCounts)-1]
 	prog, err := app.Build(res.Machine, nmax, res.Plan.S0)
 	if err != nil {
 		return fmt.Errorf("diagnose: building structure graph: %w", err)
 	}
-	rep, err := diagnose.Run(ctx, diagnose.BuildGraph(prog), fam, diagnose.Options{})
+	rep, err := diagnose.Campaign(ctx, res, prog)
 	if err != nil {
 		return err
-	}
-	if err := rep.Verify(); err != nil {
-		return fmt.Errorf("diagnose: report failed self-verification: %w", err)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -553,10 +542,10 @@ func cmdAnalyze(args []string) error {
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
-	var post func(context.Context, *campaign.Result) error
+	var post func(context.Context, apps.App, *campaign.Result) error
 	if *diagOut != "" {
-		post = func(ctx context.Context, res *campaign.Result) error {
-			return writeDiagnosis(ctx, res, *diagOut)
+		post = func(ctx context.Context, app apps.App, res *campaign.Result) error {
+			return writeDiagnosis(ctx, app, res, *diagOut)
 		}
 	}
 	res, m, err := fitFor(c, post)

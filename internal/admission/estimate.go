@@ -54,6 +54,11 @@ func (b Budget) EstimatePlan(cfg machine.Config, app apps.App, plan campaign.Pla
 // EstimatePlanMemo is EstimatePlan with each application run's price taken
 // from memo: a run is built only on a memo miss, so pricing a request seen
 // before builds nothing. A nil memo builds every run, as EstimatePlan does.
+//
+// The serving pipeline calls it through a route's price field, a function
+// value the call graph does not follow, so it is marked hot itself.
+//
+//scalvet:hot
 func (b Budget) EstimatePlanMemo(memo *recipe.Memo, cfg machine.Config, app apps.App, plan campaign.Plan, workers int) (Cost, *Rejection) {
 	b = b.withDefaults()
 	if workers < 1 {
@@ -157,6 +162,11 @@ func (b Budget) EstimateDiagnose(cfg machine.Config, app apps.App, plan campaign
 
 // EstimateDiagnoseMemo is EstimateDiagnose with run prices from memo, as
 // EstimatePlanMemo.
+//
+// The serving pipeline calls it through a route's price field, a function
+// value the call graph does not follow, so it is marked hot itself.
+//
+//scalvet:hot
 func (b Budget) EstimateDiagnoseMemo(memo *recipe.Memo, cfg machine.Config, app apps.App, plan campaign.Plan, workers int) (Cost, *Rejection) {
 	c, rej := b.EstimatePlanMemo(memo, cfg, app, plan, workers)
 	if rej != nil {

@@ -12,7 +12,9 @@ import (
 // SIGTERM, and the orphaned work keeps burning a worker slot. The analyzer
 // uses the call graph to follow handlers transitively: every function in
 // this package reachable from an HTTP-handler-shaped function is part of
-// the serving path and held to the same rule.
+// the serving path and held to the same rule. So is every function the
+// package marks //scalvet:hot: the serving path's roots the call graph
+// cannot reach through a handler, such as closures and function values.
 var CtxHTTP = &Analyzer{
 	Name:         "ctxhttp",
 	Doc:          "flags serve handlers spawning work without r.Context()",
@@ -38,13 +40,13 @@ func runCtxHTTP(pass *Pass) {
 }
 
 // handlerReachable walks the call graph from this package's handler-shaped
-// functions; only same-package functions are returned (each package's pass
-// reports its own findings).
+// and //scalvet:hot functions; only same-package functions are returned
+// (each package's pass reports its own findings).
 func handlerReachable(pass *Pass) map[*types.Func]bool {
 	reach := map[*types.Func]bool{}
 	var queue []*types.Func
 	for fn, di := range pass.Facts.decls {
-		if di.pkg == pass.Pkg && isHandlerShaped(fn) {
+		if di.pkg == pass.Pkg && (isHandlerShaped(fn) || hasHotAnnotation(di.decl)) {
 			reach[fn] = true
 			queue = append(queue, fn)
 		}

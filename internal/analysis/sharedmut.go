@@ -16,7 +16,9 @@ import (
 //     index is local to the goroutine (each worker owns its slot, with a
 //     WaitGroup sequencing the reads);
 //   - literals that take a sync.Mutex/RWMutex lock anywhere in their body
-//     (granularity is per-literal, a deliberate simplification).
+//     (granularity is per-literal, a deliberate simplification);
+//   - writes inside a function literal passed to (*sync.Once).Do, which
+//     runs it exactly once, and Do returns only after it has finished.
 //
 // Writes routed through helper functions called from the goroutine are
 // not tracked (the analyzer is intraprocedural).
@@ -55,6 +57,8 @@ func checkGoroutineWrites(pass *Pass, lit *ast.FuncLit) {
 	})
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch st := n.(type) {
+		case *ast.CallExpr:
+			return calleeName(pass, st) != "(*sync.Once).Do"
 		case *ast.AssignStmt:
 			for _, lhs := range st.Lhs {
 				checkWrite(pass, lhs, local)
@@ -133,23 +137,27 @@ func indexIsLocal(pass *Pass, idx ast.Expr, local map[types.Object]bool) bool {
 func holdsLock(pass *Pass, lit *ast.FuncLit) bool {
 	found := false
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
-		if !ok {
-			return true
-		}
-		switch fn.FullName() {
-		case "(*sync.Mutex).Lock", "(*sync.RWMutex).Lock", "(*sync.RWMutex).RLock":
-			found = true
+		if call, ok := n.(*ast.CallExpr); ok {
+			switch calleeName(pass, call) {
+			case "(*sync.Mutex).Lock", "(*sync.RWMutex).Lock", "(*sync.RWMutex).RLock":
+				found = true
+			}
 		}
 		return !found
 	})
 	return found
+}
+
+// calleeName is the full name (types.Func.FullName) of the method or
+// qualified function a call invokes, or "" for any other callee.
+func calleeName(pass *Pass, call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return ""
+	}
+	return fn.FullName()
 }

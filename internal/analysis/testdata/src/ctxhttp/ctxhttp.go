@@ -50,3 +50,11 @@ func handleSuppressed(w http.ResponseWriter, r *http.Request) {
 	_ = db
 	go rebuildIndex() /* want "launches a goroutine no context reaches" "needs a reason" */ //scalvet:ignore
 }
+
+// renderJob is reached only through a function value, which the call graph
+// does not follow; its //scalvet:hot mark makes it a serving-path root.
+//
+//scalvet:hot
+func renderJob(ctx context.Context) {
+	process(context.Background()) // want "renderJob creates context.Background"
+}

@@ -61,3 +61,26 @@ func cleanLocal() {
 		_ = local
 	}()
 }
+
+func cleanOnce(errs []error) error {
+	var first error
+	var once sync.Once
+	var wg sync.WaitGroup
+	for _, err := range errs {
+		wg.Add(1)
+		go func(err error) {
+			defer wg.Done()
+			once.Do(func() { first = err }) // sync.Once runs it once: clean
+		}(err)
+	}
+	wg.Wait()
+	return first
+}
+
+func flaggedBesideOnce(s *state) {
+	var once sync.Once
+	go func() {
+		once.Do(func() { s.count = 1 })
+		s.count++ // want "goroutine writes s.count"
+	}()
+}

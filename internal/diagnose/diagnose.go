@@ -69,6 +69,24 @@ func FromCampaign(res *campaign.Result) (Family, error) {
 	return f, nil
 }
 
+// Campaign diagnoses a finished campaign: its attribution family
+// (FromCampaign) overlaid on the structure graph of prog, the program of
+// its largest base run, and the report self-verified before it is returned.
+func Campaign(ctx context.Context, res *campaign.Result, prog *sim.Program) (*Report, error) {
+	fam, err := FromCampaign(res)
+	if err != nil {
+		return nil, fmt.Errorf("diagnose: %w", err)
+	}
+	rep, err := Run(ctx, BuildGraph(prog), fam, Options{})
+	if err != nil {
+		return nil, err
+	}
+	if err := rep.Verify(); err != nil {
+		return nil, fmt.Errorf("diagnose: report failed self-verification: %w", err)
+	}
+	return rep, nil
+}
+
 // Options tunes a diagnosis.
 type Options struct {
 	// MaxCulprits truncates the ranked list (0 keeps every region). The

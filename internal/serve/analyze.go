@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 
 	"scaltool/internal/admission"
@@ -106,20 +104,6 @@ func (s *Server) validate(req *Request) (*resolved, *admission.Rejection) {
 	return &resolved{cfg: cfg, app: app, plan: plan}, nil
 }
 
-// estimate prices the resolved request and gates it against the per-request
-// budget (the ledger gates the per-server one at admission).
-func (s *Server) estimate(rv *resolved) (admission.Cost, *admission.Rejection) {
-	budget := s.Budget()
-	cost, rej := budget.EstimatePlanMemo(s.recipes, rv.cfg, rv.app, rv.plan, s.opts.SimWorkers)
-	if rej != nil {
-		return admission.Cost{}, rej
-	}
-	if rej := budget.CheckRequest(cost); rej != nil {
-		return admission.Cost{}, rej
-	}
-	return cost, nil
-}
-
 // configFor maps the request's machine name to its configuration.
 func configFor(name string) machine.Config {
 	if name == "origin" {
@@ -178,24 +162,12 @@ type BreakdownRow struct {
 	Interpolated bool    `json:"interpolated,omitempty"`
 }
 
-// runner is the campaign runner of one resolved request: the shared run
-// cache, with the server's recipe memo in front of it.
-func (s *Server) runner(rv *resolved) *campaign.Runner {
-	return &campaign.Runner{
-		Cfg:     rv.cfg,
-		Workers: s.opts.SimWorkers,
-		Cache:   s.opts.Cache,
-		Recipes: s.recipes,
-	}
-}
-
-// analyze runs the full pipeline for one resolved request: campaign
-// (through the shared run cache) → fit → response.
-func (s *Server) analyze(ctx context.Context, req *Request, rv *resolved) (*Response, error) {
-	res, err := s.runner(rv).Execute(ctx, rv.app, rv.plan)
-	if err != nil {
-		return nil, err
-	}
+// renderAnalysis fits the paper's model to a finished campaign and renders
+// the /v1/analyze response. It is called through route.render, a function
+// value the call graph does not follow, so it is marked hot itself.
+//
+//scalvet:hot
+func (s *Server) renderAnalysis(ctx context.Context, req *Request, rv *resolved, res *campaign.Result) (any, error) {
 	opts := model.DefaultOptions(rv.cfg.L2.SizeBytes)
 	opts.RawTmN = req.RawTm
 	m, err := res.FitContext(ctx, opts)
@@ -236,16 +208,4 @@ func (s *Server) analyze(ctx context.Context, req *Request, rv *resolved) (*Resp
 		})
 	}
 	return resp, nil
-}
-
-// encodeResponse serializes a Response. Go's encoding/json is deterministic
-// over struct fields (fixed order, shortest-round-trip floats), which is what
-// makes "cached and fresh responses are byte-identical" testable.
-func encodeResponse(resp *Response) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(resp); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

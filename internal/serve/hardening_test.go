@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -14,50 +15,65 @@ import (
 	"scaltool/internal/runcache"
 )
 
-// TestPanicIsolationAndQuarantine is the tentpole's panic contract: a
-// panicking analysis becomes one 500 — the daemon, its listener, and every
-// other request survive — and the panicking request *shape* is quarantined,
-// so repeating it is refused cheaply with 422 instead of crashing twice.
+// TestPanicIsolationAndQuarantine is the tentpole's panic contract, on both
+// routes: a panicking analysis becomes one 500 — the daemon, its listener,
+// and every other request survive — and the panicking request *shape* is
+// quarantined on its route, so repeating it there is refused cheaply with
+// 422 instead of crashing twice.
 func TestPanicIsolationAndQuarantine(t *testing.T) {
-	s, ts, mt := newTestServer(t, Options{Workers: 2})
-	var explode bool
-	s.testHookRun = func() {
-		if explode {
-			panic("simulated analysis fault")
-		}
-	}
+	type poster func(*testing.T, string, io.Reader) (*http.Response, []byte)
+	for _, rt := range []struct {
+		name        string
+		post, other poster
+	}{{"analyze", postAnalyze, postDiagnose}, {"diagnose", postDiagnose, postAnalyze}} {
+		t.Run(rt.name, func(t *testing.T) {
+			s, ts, mt := newTestServer(t, Options{Workers: 2})
+			var explode bool
+			s.testHookRun = func() {
+				if explode {
+					panic("simulated analysis fault")
+				}
+			}
 
-	explode = true
-	resp, body := postAnalyze(t, ts.URL, analyzeBody("swim", 4))
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("panicking analysis returned %d, want 500: %s", resp.StatusCode, body)
-	}
-	var e map[string]string
-	if err := json.Unmarshal(body, &e); err != nil || e["code"] != "panic" {
-		t.Fatalf("panic error body: %s", body)
-	}
-	if got := mt.ServePanics().Value(); got != 1 {
-		t.Fatalf("panic counter = %d, want 1", got)
-	}
+			explode = true
+			resp, body := rt.post(t, ts.URL, analyzeBody("swim", 4))
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("panicking analysis returned %d, want 500: %s", resp.StatusCode, body)
+			}
+			var e map[string]string
+			if err := json.Unmarshal(body, &e); err != nil || e["code"] != "panic" {
+				t.Fatalf("panic error body: %s", body)
+			}
+			if got := mt.ServePanics().Value(); got != 1 {
+				t.Fatalf("panic counter = %d, want 1", got)
+			}
 
-	// The identical shape is now quarantined: refused before any work, even
-	// though the hook would no longer panic.
-	explode = false
-	resp, body = postAnalyze(t, ts.URL, analyzeBody("swim", 4))
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("quarantined request returned %d, want 422: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &e); err != nil || e["code"] != "quarantined" {
-		t.Fatalf("quarantine error body: %s", body)
-	}
-	if got := mt.ServeQuarantined().Value(); got != 1 {
-		t.Fatalf("quarantined counter = %d, want 1", got)
-	}
+			// The identical shape is now quarantined: refused before any work,
+			// even though the hook would no longer panic.
+			explode = false
+			resp, body = rt.post(t, ts.URL, analyzeBody("swim", 4))
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Fatalf("quarantined request returned %d, want 422: %s", resp.StatusCode, body)
+			}
+			if err := json.Unmarshal(body, &e); err != nil || e["code"] != "quarantined" {
+				t.Fatalf("quarantine error body: %s", body)
+			}
+			if got := mt.ServeQuarantined().Value(); got != 1 {
+				t.Fatalf("quarantined counter = %d, want 1", got)
+			}
 
-	// A different shape is unaffected — the daemon is still serving.
-	resp, body = postAnalyze(t, ts.URL, analyzeBody("hydro2d", 4))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-panic different request returned %d: %s", resp.StatusCode, body)
+			// A different shape is unaffected — the daemon is still serving.
+			resp, body = rt.post(t, ts.URL, analyzeBody("hydro2d", 4))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("post-panic different request returned %d: %s", resp.StatusCode, body)
+			}
+			// Quarantine is per route: the same document on the other route
+			// is a different shape.
+			resp, body = rt.other(t, ts.URL, analyzeBody("swim", 4))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("same document on the other route returned %d: %s", resp.StatusCode, body)
+			}
+		})
 	}
 }
 

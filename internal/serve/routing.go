@@ -49,5 +49,5 @@ func RoutingKey(memo *recipe.Memo, req *Request) string {
 			}
 		}
 	}
-	return "doc:" + requestKey(&r)
+	return docKey("doc:", &r)
 }

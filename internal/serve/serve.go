@@ -7,10 +7,12 @@
 // application (or a user-submitted program spec) through internal/runcache,
 // fits the model, and returns the speedup curve and cycle breakdown as JSON.
 // Identical requests produce byte-identical response bodies whether they
-// were simulated or served from cache.
+// were simulated or served from cache. POST /v1/diagnose takes the same
+// document through the same pipeline and renders the region-graph diagnosis
+// instead of the model fit; a route value holds all that differs.
 //
 // The service assumes hostile clients (DESIGN.md §13). Its status-code
-// contract, in the order a request meets each gate:
+// contract, in the order a request meets each gate, on both routes:
 //
 //	405 — method other than POST.
 //	429 — the server is draining, the admission queue is full, or the
@@ -24,6 +26,9 @@
 //	      that previously panicked the pipeline and is quarantined.
 //	503 — admitted, but no worker freed up within the request deadline.
 //	504 — executing, but the analysis exceeded the request deadline.
+//	422 — executed, but the campaign's runs cannot fit the model
+//	      ("unfittable"; model.InsufficientInputsError): the document is
+//	      valid, its answer does not exist, and repeating it cannot help.
 //	500 — the analysis failed or panicked; a panic is isolated to the
 //	      request, counted, and its request shape quarantined.
 //
@@ -31,6 +36,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"crypto/sha256"
@@ -48,7 +54,10 @@ import (
 	"time"
 
 	"scaltool/internal/admission"
-	"scaltool/internal/health"
+	"scaltool/internal/apps"
+	"scaltool/internal/campaign"
+	"scaltool/internal/machine"
+	"scaltool/internal/model"
 	"scaltool/internal/obs"
 	"scaltool/internal/recipe"
 	"scaltool/internal/runcache"
@@ -87,8 +96,46 @@ type Options struct {
 	Obs *obs.Observer
 }
 
-// quarantineCapacity bounds the remembered panicking request shapes.
-const quarantineCapacity = 256
+// fifoCapacity bounds each fifoMap: the remembered panicking request shapes,
+// or the remembered diagnose response bodies. A report for a 32-processor
+// campaign is a few tens of kilobytes, so that cache tops out around a few
+// megabytes.
+const fifoCapacity = 256
+
+// fifoMap is a bounded, concurrency-safe map from request-document keys to
+// bytes (response bodies, quarantine reasons): past fifoCapacity it evicts
+// the oldest entry, so no stream of distinct documents — hostile shapes
+// included — can grow it without limit. The zero value is empty.
+type fifoMap struct {
+	mu    sync.Mutex
+	order []string
+	items map[string][]byte
+}
+
+func (m *fifoMap) get(key string) ([]byte, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v, ok := m.items[key]
+	return v, ok
+}
+
+// put stores v under key; re-putting a key replaces its value without
+// consuming capacity.
+func (m *fifoMap) put(key string, v []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.items == nil {
+		m.items = make(map[string][]byte, fifoCapacity)
+	}
+	if _, ok := m.items[key]; !ok {
+		if len(m.order) >= fifoCapacity {
+			delete(m.items, m.order[0])
+			m.order = m.order[1:]
+		}
+		m.order = append(m.order, key)
+	}
+	m.items[key] = v
+}
 
 // Server serves the analysis API. Create with New.
 type Server struct {
@@ -97,12 +144,11 @@ type Server struct {
 	workers    chan struct{} // executing-analysis slots
 	admitted   chan struct{} // admission slots: Workers + QueueDepth
 	ledger     *admission.Ledger
-	quarantine *health.QuarantineSet
+	quarantine fifoMap      // document key → why it was quarantined
 	recipes    *recipe.Memo // run recipe → content key and price, next to opts.Cache
 	drain      drainEstimator
 	draining   atomic.Bool
 	inflight   sync.WaitGroup
-	diagCache  responseCache
 
 	mux *http.ServeMux
 
@@ -126,16 +172,20 @@ func New(opts Options) *Server {
 		opts.Budget.MaxProcs = opts.MaxProcs
 	}
 	s := &Server{
-		opts:       opts,
-		workers:    make(chan struct{}, opts.Workers),
-		admitted:   make(chan struct{}, opts.Workers+opts.QueueDepth),
-		ledger:     admission.NewLedger(opts.Budget),
-		quarantine: health.NewQuarantineSet(quarantineCapacity),
+		opts:     opts,
+		workers:  make(chan struct{}, opts.Workers),
+		admitted: make(chan struct{}, opts.Workers+opts.QueueDepth),
+		ledger:   admission.NewLedger(opts.Budget),
 	}
 	s.recipes = recipe.New(s.meter())
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/analyze", s.handleAnalyze)
-	s.mux.HandleFunc("/v1/diagnose", s.handleDiagnose)
+	for _, rt := range []*route{
+		{path: "/v1/analyze", minProcs: 1, price: admission.Budget.EstimatePlanMemo, render: (*Server).renderAnalysis},
+		{path: "/v1/diagnose", minProcs: 2, price: admission.Budget.EstimateDiagnoseMemo, render: (*Server).renderDiagnosis,
+			cache: &fifoMap{}},
+	} {
+		s.mux.HandleFunc(rt.path, s.handle(rt))
+	}
 	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	return s
@@ -252,15 +302,40 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // megabyte is garbage.
 const maxBodyBytes = 1 << 20
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	rid := requestID(r)
-	w.Header().Set("X-Request-Id", rid)
-	code, ecode, err := s.serveAnalyze(w, r, rid, start)
-	if err != nil {
-		writeError(w, code, ecode, "%s", err)
+// route is what distinguishes /v1/analyze from /v1/diagnose. Everything
+// else, every gate in its order, is the one pipeline in serve.
+type route struct {
+	path string
+	// minProcs is the smallest "procs" the route accepts: a diagnosis
+	// backtracks scaling loss, so it needs a multiprocessor sweep.
+	minProcs int
+	// price is the admission estimator of the route's work.
+	price func(admission.Budget, *recipe.Memo, machine.Config, apps.App, campaign.Plan, int) (admission.Cost, *admission.Rejection)
+	// render turns the finished campaign into the response document.
+	render func(*Server, context.Context, *Request, *resolved, *campaign.Result) (any, error)
+	// cache holds encoded response bodies by document key (nil: none). A
+	// hit skips admission and the campaign; diagnosis needs it because its
+	// render step builds the largest run's program, which the run cache
+	// does not keep.
+	cache *fifoMap
+}
+
+// handle serves one route, counting each request under its path. The
+// handler is a closure, which scalvet attributes to this declaration, so
+// the declaration is marked as the serving path's hot root.
+//
+//scalvet:hot
+func (s *Server) handle(rt *route) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		rid := requestID(r)
+		w.Header().Set("X-Request-Id", rid)
+		code, ecode, err := s.serve(rt, w, r, rid, start)
+		if err != nil {
+			writeError(w, code, ecode, "%s", err)
+		}
+		s.countRequest(rt.path, code, start)
 	}
-	s.countRequest("/v1/analyze", code, start)
 }
 
 // requestID resolves the request's end-to-end trace identity: a
@@ -394,36 +469,60 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, cost admission.Co
 	return ctx, release, 0, "", nil
 }
 
-// serveAnalyze handles one analysis request; it reports the response status
-// and, for non-2xx, the machine-readable code and error to send (nil error
-// when the response was already written).
-func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, rid string, start time.Time) (int, string, error) {
+// serve runs one request through the gate sequence every route shares:
+// decode → validate → route check → quarantine → price → response-cache
+// lookup → admit → panic-isolated campaign and render → encode → write. It
+// reports the response status and, for non-2xx, the machine-readable code
+// and error to send (nil error when the response was already written).
+func (s *Server) serve(rt *route, w http.ResponseWriter, r *http.Request, rid string, start time.Time) (int, string, error) {
 	var req Request
 	if code, ecode, err := s.decodeRequest(w, r, &req); err != nil {
 		return code, ecode, err
 	}
 
-	// Validation and admission: semantic checks (422), then predicted cost
+	// Validation and pricing: semantic checks (422), then predicted cost
 	// against the per-request budget (413) — all before the request may
 	// occupy a queue slot.
 	rv, rej := s.validate(&req)
+	if rej == nil && req.Procs < rt.minProcs {
+		rej = invalid("bad_procs", "diagnosis needs a multiprocessor sweep; \"procs\" must be ≥ %d", rt.minProcs)
+	}
 	if rej != nil {
 		s.countRejection(rej.Status)
 		return rej.Status, rej.Code, rej
 	}
-	qkey := requestKey(&req)
-	if reason, ok := s.quarantine.Lookup(qkey); ok {
+	key := docKey(rt.path, &req)
+	if reason, ok := s.quarantine.get(key); ok {
 		if mt := s.meter(); mt != nil {
 			mt.ServeQuarantined().Inc()
 		}
 		s.countRejection(http.StatusUnprocessableEntity)
 		return http.StatusUnprocessableEntity, "quarantined",
-			fmt.Errorf("an identical request previously crashed the analysis pipeline (%s); refusing to repeat it", reason)
+			fmt.Errorf("an identical request previously crashed the %s pipeline (%s); refusing to repeat it", rt.path, reason)
 	}
-	cost, rej := s.estimate(rv)
+	budget := s.Budget()
+	cost, rej := rt.price(budget, s.recipes, rv.cfg, rv.app, rv.plan, s.opts.SimWorkers)
+	if rej == nil {
+		rej = budget.CheckRequest(cost)
+	}
 	if rej != nil {
 		s.countRejection(rej.Status)
 		return rej.Status, rej.Code, rej
+	}
+
+	// The response cache sits after pricing and before admission: a hit
+	// must not burn a queue slot or ledger budget.
+	if rt.cache != nil {
+		if body, ok := rt.cache.get(key); ok {
+			if mt := s.meter(); mt != nil {
+				mt.DiagnoseCache("hit").Inc()
+			}
+			writeBody(w, body)
+			return http.StatusOK, "", nil
+		}
+		if mt := s.meter(); mt != nil {
+			mt.DiagnoseCache("miss").Inc()
+		}
 	}
 
 	ctx, release, code, ecode, err := s.admit(w, r, cost, rid)
@@ -432,22 +531,26 @@ func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, rid string
 	}
 	defer release()
 
-	resp, err := s.analyzeIsolated(ctx, &req, rv, qkey)
+	doc, err := s.execute(ctx, rt, &req, rv, key)
 	if err != nil {
 		return s.triageExecError(ctx, &req, err)
 	}
-	body, err := encodeResponse(resp)
+	body, err := encodeJSON(doc)
 	if err != nil {
 		return http.StatusInternalServerError, "failed", fmt.Errorf("encoding response: %v", err)
 	}
+	if rt.cache != nil {
+		rt.cache.put(key, body)
+	}
 	writeBody(w, body)
-	obs.Log(ctx).Info("analysis served", "app", req.Ident(), "procs", req.Procs, "elapsed", time.Since(start))
+	obs.Log(ctx).Info("request served", "route", rt.path, "app", req.Ident(), "procs", req.Procs, "elapsed", time.Since(start))
 	return http.StatusOK, "", nil
 }
 
 // triageExecError maps an execution failure to the status contract: an
 // isolated panic is a 500 "panic" (the shape is already quarantined), a
-// blown deadline a 504, anything else a 500 "failed".
+// blown deadline a 504, runs the model cannot fit a 422 "unfittable",
+// anything else a 500 "failed".
 func (s *Server) triageExecError(ctx context.Context, req *Request, err error) (int, string, error) {
 	var pf *panicFault
 	if errors.As(err, &pf) {
@@ -458,6 +561,10 @@ func (s *Server) triageExecError(ctx context.Context, req *Request, err error) (
 	if ctx.Err() != nil {
 		return http.StatusGatewayTimeout, "deadline",
 			fmt.Errorf("analysis exceeded its %s deadline", s.opts.RequestTimeout)
+	}
+	var ie *model.InsufficientInputsError
+	if errors.As(err, &ie) {
+		return http.StatusUnprocessableEntity, "unfittable", fmt.Errorf("the campaign's runs cannot fit the model: %v", err)
 	}
 	obs.Log(ctx).Error("analysis failed", "app", req.Ident(), "err", err)
 	return http.StatusInternalServerError, "failed", fmt.Errorf("analysis failed: %v", err)
@@ -471,24 +578,36 @@ func writeBody(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body)
 }
 
+// encodeJSON serializes a response document. Go's encoding/json is
+// deterministic over struct fields (fixed order, shortest-round-trip
+// floats), which is what makes "cached and fresh responses are
+// byte-identical" testable.
+func encodeJSON(doc any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(doc); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // panicFault wraps a recovered analysis panic as an error.
 type panicFault struct {
 	value any
-	stack []byte
 }
 
 func (p *panicFault) Error() string { return fmt.Sprintf("analysis panicked: %v", p.value) }
 
-// analyzeIsolated runs the analysis with panic isolation: a panic anywhere
-// in the handler's half of the pipeline (campaign worker panics are already
-// recovered by the campaign and surface as errors) is converted to a
-// *panicFault instead of killing the daemon, counted, and its request shape
-// quarantined so a repeat is refused cheaply with 422.
-func (s *Server) analyzeIsolated(ctx context.Context, req *Request, rv *resolved, qkey string) (resp *Response, err error) {
+// execute runs the campaign and the route's render step with panic
+// isolation: a panic anywhere in the handler's half of the pipeline
+// (campaign worker panics are already recovered by the campaign and surface
+// as errors) is converted to a *panicFault instead of killing the daemon,
+// counted, and its request shape quarantined under key so a repeat is
+// refused cheaply with 422.
+func (s *Server) execute(ctx context.Context, rt *route, req *Request, rv *resolved, key string) (doc any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.quarantinePanic(ctx, qkey, r, debug.Stack())
-			resp, err = nil, &panicFault{value: r, stack: debug.Stack()}
+			s.quarantinePanic(ctx, key, r, debug.Stack())
+			doc, err = nil, &panicFault{value: r}
 		}
 	}()
 	// The test hook runs inside the isolation scope: tests use it both to
@@ -497,36 +616,42 @@ func (s *Server) analyzeIsolated(ctx context.Context, req *Request, rv *resolved
 	if s.testHookRun != nil {
 		s.testHookRun()
 	}
-	resp, err = s.analyze(ctx, req, rv)
+	runner := &campaign.Runner{Cfg: rv.cfg, Workers: s.opts.SimWorkers, Cache: s.opts.Cache, Recipes: s.recipes}
+	res, err := runner.Execute(ctx, rv.app, rv.plan)
+	if err == nil {
+		doc, err = rt.render(s, ctx, req, rv, res)
+	}
 	// A campaign worker goroutine's panic is recovered off-handler and
 	// surfaces here as a *campaign.PanicError; treat it exactly like a
 	// same-goroutine panic.
 	var pe interface{ PanicValue() (any, []byte) }
 	if errors.As(err, &pe) {
 		v, stack := pe.PanicValue()
-		s.quarantinePanic(ctx, qkey, v, stack)
-		return nil, &panicFault{value: v, stack: stack}
+		s.quarantinePanic(ctx, key, v, stack)
+		return nil, &panicFault{value: v}
 	}
-	return resp, err
+	return doc, err
 }
 
 // quarantinePanic counts an isolated panic and quarantines its request
 // shape so a repeat is refused cheaply with 422.
-func (s *Server) quarantinePanic(ctx context.Context, qkey string, value any, stack []byte) {
+func (s *Server) quarantinePanic(ctx context.Context, key string, value any, stack []byte) {
 	if mt := s.meter(); mt != nil {
 		mt.ServePanics().Inc()
 	}
-	s.quarantine.Add(qkey, fmt.Sprintf("panic: %v", value)) //scalvet:ignore runs once per panicking request, off the steady-state path
-	obs.Log(ctx).Error("quarantined panicking request shape", "key", qkey, "panic", value, "stack", string(stack))
+	s.quarantine.put(key, fmt.Appendf(nil, "panic: %v", value)) //scalvet:ignore runs once per panicking request, off the steady-state path
+	obs.Log(ctx).Error("quarantined panicking request shape", "key", key, "panic", value, "stack", string(stack))
 }
 
-// requestKey is the quarantine identity of a request: a digest of its
-// normalized (defaults applied) document, so the same hostile shape is
-// recognized however it arrives.
-func requestKey(req *Request) string {
+// docKey is the identity of a normalized (defaults applied) request
+// document under prefix: 128 bits of the SHA-256 of its encoding, so the
+// same shape is recognized however it arrives. One key per request serves
+// as both its quarantine and its response-cache identity.
+func docKey(prefix string, req *Request) string {
 	doc, _ := json.Marshal(req)
 	sum := sha256.Sum256(doc)
-	return hex.EncodeToString(sum[:8])
+	var buf [64]byte
+	return string(hex.AppendEncode(append(buf[:0], prefix...), sum[:16]))
 }
 
 // publishLedger exports the ledger occupancy gauges.

@@ -278,10 +278,11 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestRequestValidation pins the 4xx contract: 400 for documents that are
-// not the request schema, 413 for documents or datasets over this server's
-// budgets, 422 for well-formed but semantically invalid requests — each with
-// a stable machine-readable code in the body.
+// TestRequestValidation pins the 4xx contract on both routes, which share
+// one pipeline: 400 for documents that are not the request schema, 413 for
+// documents or datasets over this server's budgets, 422 for well-formed but
+// semantically invalid requests or runs the model cannot fit — each with a
+// stable machine-readable code in the body.
 func TestRequestValidation(t *testing.T) {
 	_, ts, _ := newTestServer(t, Options{Workers: 1, MaxProcs: 8})
 	hugeBody := `{"app":"swim","procs":"` + strings.Repeat("x", maxBodyBytes+1) + `"}`
@@ -306,29 +307,46 @@ func TestRequestValidation(t *testing.T) {
 		{"bad spec", `{"program":{"name":"x","arrays":[],"regions":[]}}`, http.StatusUnprocessableEntity, "spec_arrays"},
 		{"spec bad op", `{"program":{"name":"x","arrays":[{"name":"a","elems":64}],"regions":[{"name":"r","ops":[{"kind":"warp","array":"a"}]}]}}`,
 			http.StatusUnprocessableEntity, "spec_op_kind"},
+		// hydro2d's grid realizes a smaller size than 1.17× its default asks
+		// for, which leaves one uniprocessor run over the L2: a valid
+		// document the model cannot fit.
+		{"unfittable", `{"app":"hydro2d","procs":8,"s0":197443}`, http.StatusUnprocessableEntity, "unfittable"},
 	}
+	// A diagnosis fits no model, so it answers the unfittable document.
+	analyzeOnly := map[string]bool{"unfittable": true}
+	routes := []struct {
+		path string
+		post func(*testing.T, string, io.Reader) (*http.Response, []byte)
+	}{{"/v1/analyze", postAnalyze}, {"/v1/diagnose", postDiagnose}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, body := postAnalyze(t, ts.URL, strings.NewReader(tc.body))
-			if resp.StatusCode != tc.want {
-				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.want, body)
-			}
-			var e map[string]string
-			if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
-				t.Fatalf("error body not the uniform shape: %s", body)
-			}
-			if e["code"] != tc.code {
-				t.Fatalf("code %q, want %q (%s)", e["code"], tc.code, body)
+			for _, rt := range routes {
+				if analyzeOnly[tc.name] && rt.path != "/v1/analyze" {
+					continue
+				}
+				resp, body := rt.post(t, ts.URL, strings.NewReader(tc.body))
+				if resp.StatusCode != tc.want {
+					t.Fatalf("%s: status %d, want %d: %s", rt.path, resp.StatusCode, tc.want, body)
+				}
+				var e map[string]string
+				if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
+					t.Fatalf("%s: error body not the uniform shape: %s", rt.path, body)
+				}
+				if e["code"] != tc.code {
+					t.Fatalf("%s: code %q, want %q (%s)", rt.path, e["code"], tc.code, body)
+				}
 			}
 		})
 	}
-	resp, err := http.Get(ts.URL + "/v1/analyze")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/analyze = %d, want 405", resp.StatusCode)
+	for _, rt := range routes {
+		resp, err := http.Get(ts.URL + rt.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("GET %s = %d, want 405", rt.path, resp.StatusCode)
+		}
 	}
 }
 
