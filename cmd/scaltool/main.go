@@ -14,10 +14,10 @@
 // Robustness flags (see README's Robustness section): -max-retries and
 // -run-timeout set the retry budget and per-attempt deadline of every run,
 // -fault-spec injects deterministic faults for chaos drills, -health-json
-// writes the machine-readable health report. -journal-dir makes the
-// campaign crash-safe (every run outcome goes through a write-ahead journal
-// before it counts) and -resume continues an interrupted campaign from that
-// journal; -heartbeat-timeout/-max-worker-restarts arm the worker watchdog,
+// writes the machine-readable health report. -run-cache-dir makes the
+// campaign crash-safe: every simulated run is written through to that
+// directory, and rerunning an interrupted command resumes it from there;
+// -heartbeat-timeout/-max-worker-restarts arm the worker watchdog,
 // and -shutdown-grace bounds how long a SIGINT/SIGTERM graceful stop may
 // take before the process force-exits.
 //
@@ -120,8 +120,6 @@ type common struct {
 	runTimeout *time.Duration
 	healthJSON *string
 
-	journalDir    *string
-	resume        *bool
 	shutdownGrace *time.Duration
 	heartbeat     *time.Duration
 	maxRestarts   *int
@@ -152,14 +150,12 @@ func commonFlags(name string) *common {
 		runTimeout: fs.Duration("run-timeout", 0, "per-attempt run deadline (0 = none)"),
 		healthJSON: fs.String("health-json", "", "write the machine-readable health report to this file"),
 
-		journalDir:    fs.String("journal-dir", "", "write-ahead journal directory: makes the campaign crash-safe and resumable"),
-		resume:        fs.Bool("resume", false, "resume the interrupted campaign recorded in -journal-dir"),
 		shutdownGrace: fs.Duration("shutdown-grace", 10*time.Second, "grace period for a SIGINT/SIGTERM stop before the process force-exits"),
 		heartbeat:     fs.Duration("heartbeat-timeout", 0, "worker watchdog: restart a run making no progress for this long (0 = off)"),
 		maxRestarts:   fs.Int("max-worker-restarts", 2, "watchdog restarts one run gets before it is quarantined"),
 
 		cacheMB:    fs.Int("run-cache-mb", 0, "content-addressed run cache budget in MiB (0 = off): repeated (machine, program) runs skip re-simulation"),
-		cacheDir:   fs.String("run-cache-dir", "", "spill evicted run-cache entries to this directory (needs -run-cache-mb)"),
+		cacheDir:   fs.String("run-cache-dir", "", "persist every simulated run to this directory; rerunning an interrupted campaign with it resumes the campaign (needs -run-cache-mb)"),
 		traceOut:   fs.String("trace-out", "", "write a Chrome trace_event JSON file (chrome://tracing, Perfetto)"),
 		metricsOut: fs.String("metrics-out", "", "write a Prometheus text-format metrics snapshot to this file"),
 		logLevel:   fs.String("log-level", "warn", "structured log level: debug | info | warn | error"),
@@ -259,9 +255,6 @@ func pprofMux(mt *obs.Metrics) *http.ServeMux {
 // cannot: mistakes here must fail before any simulation starts, not after a
 // multi-hour campaign.
 func (c *common) validate() error {
-	if *c.resume && *c.journalDir == "" {
-		return fmt.Errorf("-resume needs -journal-dir (the journal to resume from)")
-	}
 	if *c.shutdownGrace <= 0 {
 		return fmt.Errorf("-shutdown-grace must be positive, got %s", *c.shutdownGrace)
 	}
@@ -275,8 +268,8 @@ func (c *common) validate() error {
 }
 
 // withShutdown installs the graceful-stop handler: the first SIGINT/SIGTERM
-// cancels the campaign context, which drains the worker pool and flushes the
-// journal on the normal unwind path; if that takes longer than
+// cancels the campaign context, which drains the worker pool on the normal
+// unwind path; if that takes longer than
 // -shutdown-grace the process force-exits. The returned release func
 // uninstalls the handler.
 func (c *common) withShutdown(ctx context.Context) (context.Context, func()) {
@@ -288,7 +281,7 @@ func (c *common) withShutdown(ctx context.Context) (context.Context, func()) {
 	go func() {
 		select {
 		case sig := <-sigs:
-			fmt.Fprintf(os.Stderr, "scaltool: %v: stopping campaign, flushing journal (grace %s)\n", sig, grace)
+			fmt.Fprintf(os.Stderr, "scaltool: %v: stopping campaign (grace %s)\n", sig, grace)
 			cancel()
 			t := time.NewTimer(grace)
 			defer t.Stop()
@@ -308,23 +301,11 @@ func (c *common) withShutdown(ctx context.Context) (context.Context, func()) {
 	}
 }
 
-// execute runs the campaign the flags describe: plain, durable
-// (-journal-dir), or resumed (-resume), under the graceful-shutdown handler.
-// On a durable result the journal stays open for Result.RecordFit; callers
-// must CloseJournal.
+// execute runs the campaign under the graceful-shutdown handler.
 func (c *common) execute(ctx context.Context, rn *campaign.Runner, app apps.App, plan campaign.Plan) (*campaign.Result, error) {
 	ctx, release := c.withShutdown(ctx)
 	defer release()
-	if *c.journalDir == "" {
-		return rn.Execute(ctx, app, plan)
-	}
-	opts := campaign.DurableOptions{Dir: *c.journalDir}
-	if *c.resume {
-		// The journal carries the campaign's app and plan; the command-line
-		// -app/-procs/-s0 are ignored in favor of what was interrupted.
-		return rn.Resume(ctx, opts)
-	}
-	return rn.ExecuteDurable(ctx, app, plan, opts)
+	return rn.Execute(ctx, app, plan)
 }
 
 // runner builds the fault-tolerant campaign runner the flags describe.
@@ -337,12 +318,6 @@ func (c *common) runner(cfg machine.Config) (*campaign.Runner, error) {
 		HeartbeatTimeout:  *c.heartbeat,
 		MaxWorkerRestarts: *c.maxRestarts,
 	}
-	if *c.cacheMB > 0 {
-		rn.Cache = runcache.New(runcache.Options{
-			MaxBytes: int64(*c.cacheMB) << 20,
-			SpillDir: *c.cacheDir,
-		})
-	}
 	spec, err := faultinject.ParseSpec(*c.faultSpec)
 	if err != nil {
 		return nil, err
@@ -354,6 +329,13 @@ func (c *common) runner(cfg machine.Config) (*campaign.Runner, error) {
 		if rn.RunTimeout == 0 && (spec.Hang > 0 || len(spec.StallRuns) > 0) {
 			rn.RunTimeout = 30 * time.Second
 		}
+	}
+	if *c.cacheMB > 0 {
+		rn.Cache = runcache.New(runcache.Options{
+			MaxBytes: int64(*c.cacheMB) << 20,
+			SpillDir: *c.cacheDir,
+			Inject:   rn.Inject, // crashappend/tornappend/fsyncfail name its spill writes
+		})
 	}
 	return rn, nil
 }
@@ -479,18 +461,11 @@ func fitFor(c *common, post func(context.Context, apps.App, *campaign.Result) er
 	if err != nil {
 		return nil, nil, err
 	}
-	defer res.CloseJournal()
 	opts := model.DefaultOptions(cfg.L2.SizeBytes)
 	opts.RawTmN = *c.rawTm
 	m, err := res.FitContext(ctx, opts)
 	if err != nil {
 		return nil, nil, err
-	}
-	if err := res.RecordFit(ctx, m); err != nil {
-		return nil, nil, err
-	}
-	if err := res.CloseJournal(); err != nil {
-		return nil, nil, fmt.Errorf("closing campaign journal: %w", err)
 	}
 	if post != nil {
 		if err := post(ctx, app, res); err != nil {
@@ -612,9 +587,6 @@ func cmdMeasure(args []string) error {
 	res, err := c.execute(ctx, rn, app, plan)
 	if err != nil {
 		return err
-	}
-	if err := res.CloseJournal(); err != nil {
-		return fmt.Errorf("closing campaign journal: %w", err)
 	}
 	nFiles, err := res.SaveReports(*out)
 	if err != nil {

@@ -214,10 +214,6 @@ func TestCLIFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"resume without journal-dir", cmdAnalyze,
-			[]string{"-resume"}, "-resume needs -journal-dir"},
-		{"resume without journal-dir (measure)", cmdMeasure,
-			[]string{"-resume", "-out", t.TempDir()}, "-resume needs -journal-dir"},
 		{"zero shutdown grace", cmdAnalyze,
 			[]string{"-shutdown-grace", "0s"}, "-shutdown-grace must be positive"},
 		{"negative shutdown grace", cmdAnalyze,
@@ -238,29 +234,71 @@ func TestCLIFlagValidation(t *testing.T) {
 	}
 }
 
-// TestCLIResumeRejectsSpentFault prepares a completed journal, then asks for
-// a resume with a -fault-spec that targets a run the journal already records
-// as finished. The fault could never fire, so the CLI must refuse up front
-// rather than run a campaign whose injected failure silently never happens.
-func TestCLIResumeRejectsSpentFault(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a campaign")
-	}
-	dir := t.TempDir()
-	if err := cmdAnalyze([]string{"-app", "swim", "-procs", "4", "-journal-dir", dir}); err != nil {
+// captureStdout runs f with os.Stdout redirected to a file and returns
+// what it printed.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stdout")
+	out, err := os.Create(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	err := cmdAnalyze([]string{"-resume", "-journal-dir", dir, "-fault-spec", "failrun=ksync_p01_s0"})
-	if err == nil {
-		t.Fatal("resume with a spent fault target accepted")
+	saved := os.Stdout
+	os.Stdout = out
+	ferr := f()
+	os.Stdout = saved
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "never fire") {
-		t.Fatalf("error %q does not explain the fault can never fire", err)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Without the spent fault the same resume succeeds: everything is
-	// replayed from the journal and the fit reruns.
-	if err := cmdAnalyze([]string{"-resume", "-journal-dir", dir}); err != nil {
-		t.Fatalf("plain resume of a completed journal: %v", err)
+	return string(data), ferr
+}
+
+// TestCLIResumeFromRunCacheDir kills an analysis at a spill write of its
+// -run-cache-dir, reruns the same command without the fault, and requires
+// the output of an uninterrupted run byte for byte — diagnosis included,
+// which needs the per-region ground truth of every base run.
+func TestCLIResumeFromRunCacheDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three campaigns")
+	}
+	diag := filepath.Join(t.TempDir(), "diagnosis.json")
+	analyze := func(dir string, extra ...string) (string, error) {
+		args := append([]string{"-app", "swim", "-procs", "4", "-run-cache-mb", "64",
+			"-run-cache-dir", dir, "-diagnose-json", diag}, extra...)
+		return captureStdout(t, func() error { return cmdAnalyze(args) })
+	}
+	want, err := analyze(t.TempDir())
+	if err != nil {
+		t.Fatalf("uninterrupted analysis: %v", err)
+	}
+	wantDiag, err := os.ReadFile(diag)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if _, err := analyze(dir, "-fault-spec", "crashappend=3"); err == nil || !strings.Contains(err.Error(), "injected") {
+		t.Fatalf("analysis killed at spill write 3: err = %v, want an injected crash", err)
+	}
+	if entries, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(entries) == 0 {
+		t.Fatal("killed analysis published no spill entries to resume from")
+	}
+	got, err := analyze(dir)
+	if err != nil {
+		t.Fatalf("rerun against the spill directory: %v", err)
+	}
+	if got != want {
+		t.Fatalf("resumed output differs from the uninterrupted run's\n--- want\n%s\n--- got\n%s", want, got)
+	}
+	if !strings.Contains(got, "diagnosis:") {
+		t.Fatalf("resumed output carries no diagnosis line:\n%s", got)
+	}
+	if gotDiag, err := os.ReadFile(diag); err != nil || string(gotDiag) != string(wantDiag) {
+		t.Fatalf("resumed -diagnose-json differs from the uninterrupted run's (err=%v)", err)
 	}
 }
 

@@ -57,7 +57,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		maxProcs   = fs.Int("max-procs", 64, "largest processor count a request may analyze")
 		simWorkers = fs.Int("sim-workers", 0, "concurrent simulated runs within one analysis (0 = GOMAXPROCS)")
 		cacheMB    = fs.Int("cache-mb", 256, "run-cache byte budget in MiB (0 disables caching)")
-		cacheDir   = fs.String("cache-dir", "", "spill evicted run-cache entries to this directory")
+		cacheDir   = fs.String("cache-dir", "", "write every simulated run through to this directory (the disk tier; replicas may share it)")
 		maxS0MB    = fs.Int("max-s0-mb", 0, "largest dataset a request may declare, in MiB (0 = 256)")
 		reqGCycles = fs.Float64("max-request-gcycles", 0, "predicted simulated cycles one request may cost, in billions (0 = 4000)")
 		reqMB      = fs.Int("max-request-mb", 0, "predicted allocation footprint one request may cost, in MiB (0 = 512)")

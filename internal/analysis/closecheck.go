@@ -8,7 +8,7 @@ import (
 // CloseCheck flags discarded (*os.File).Close and Sync error returns on
 // write paths. On POSIX filesystems a write error can surface only at
 // close/fsync time (delayed allocation, NFS, full disks): a campaign that
-// ignores those errors persists a truncated report or journal segment and
+// ignores those errors persists a truncated report or spill file and
 // calls it saved — the exact corruption the tolerant loaders then have to
 // quarantine. A file is on a write path when it was opened in this package
 // by os.Create, os.OpenFile, or os.CreateTemp; read-only files (os.Open)

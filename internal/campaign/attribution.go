@@ -9,8 +9,8 @@ import (
 )
 
 // ErrNoAttribution reports a base run that carries no simulator ground
-// truth. A run replayed from the journal holds counters only, so a resumed
-// campaign cannot feed diagnosis without re-running its base runs.
+// truth: a Result assembled from counters alone rather than by Execute,
+// whose runs (simulated or reloaded from the run cache) always carry it.
 var ErrNoAttribution = errors.New("campaign: base run carries no region attribution")
 
 // AttributionRun is one base run's contribution to the cross-processor
@@ -44,7 +44,7 @@ func (r *Result) AttributionFamily() ([]AttributionRun, error) {
 		res := r.BaseRuns[n]
 		id := RunID("base", n, r.Plan.S0)
 		if res == nil || len(res.Ground.Regions) == 0 {
-			return nil, fmt.Errorf("%w: %s (resumed from journal?)", ErrNoAttribution, id)
+			return nil, fmt.Errorf("%w: %s", ErrNoAttribution, id)
 		}
 		out = append(out, AttributionRun{
 			ID:         id,

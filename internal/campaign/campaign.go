@@ -130,16 +130,6 @@ type Result struct {
 	// retries, quarantines, permanent failures. Never nil on a Result
 	// returned by Execute/Run.
 	Health *health.Report
-
-	// Resumed counts the runs Resume restored from the journal instead of
-	// re-executing. Zero on a fresh campaign. Replayed runs carry their full
-	// counter report but no simulator ground truth, so MeasuredMP (a
-	// validation series, not a model input) is meaningless for them.
-	Resumed int
-
-	// dur is the open campaign journal on a durable Result (RecordFit,
-	// CloseJournal); nil on a plain Execute/Run result.
-	dur *durable
 }
 
 // Inputs assembles the model's input set from the campaign measurements.
@@ -253,7 +243,9 @@ type Runner struct {
 	// campaign, an earlier campaign, or a concurrent one sharing the cache —
 	// skips straight to its recorded Result. Injection outcomes (transient
 	// faults, hangs) still fire per attempt; only the simulation itself is
-	// elided.
+	// elided. A Cache with a SpillDir makes the campaign resumable: after a
+	// crash, Execute against the same directory finds every completed run
+	// on disk and reproduces the uninterrupted campaign's Result.
 	Cache *runcache.Cache
 	// Recipes, when non-nil, memoizes each run's content key (see
 	// internal/recipe), so a run the cache already holds is answered without
@@ -310,22 +302,13 @@ func (rn *Runner) Run(app apps.App, plan Plan) (*Result, error) {
 // the campaign — unless the model cannot fit without it (the uniprocessor
 // base run, the spin kernel), in which case the remaining workers are
 // canceled promptly and Execute returns the critical failure. Canceling ctx
-// stops the campaign the same way.
+// stops the campaign the same way, and so does an injected crash at a run
+// cache spill write (faultinject.ErrCrash), which models the process dying.
 func (rn *Runner) Execute(ctx context.Context, app apps.App, plan Plan) (*Result, error) {
-	return rn.execute(ctx, app, plan, nil)
-}
-
-// execute is the shared body of Execute, ExecuteDurable, and Resume. With a
-// non-nil durable it journals every campaign decision before applying it and
-// replays the journal's terminal events instead of re-executing those runs.
-// On error the journal is closed; on success it is handed to the Result.
-func (rn *Runner) execute(ctx context.Context, app apps.App, plan Plan, d *durable) (*Result, error) {
 	if err := rn.Cfg.Validate(); err != nil {
-		_ = d.close()
 		return nil, err
 	}
 	if len(plan.ProcCounts) == 0 {
-		_ = d.close()
 		return nil, fmt.Errorf("campaign: plan has no processor counts")
 	}
 	res := &Result{
@@ -372,34 +355,7 @@ func (rn *Runner) execute(ctx context.Context, app apps.App, plan Plan, d *durab
 	sup := newSupervisor(rn.HeartbeatTimeout, rn.MaxWorkerRestarts, obs.Meter(ctx))
 	sup.start(ctx)
 	defer sup.stopWait()
-	ex := &executor{rn: rn, app: app, res: res, cancel: cancel, d: d, sup: sup}
-
-	// Resume path: restore journaled terminal outcomes without re-executing
-	// their runs. A replayed campaign-killing outcome aborts here, exactly as
-	// the original campaign aborted.
-	pending := jobs
-	if d != nil && len(d.terminal) > 0 {
-		pending = pending[:0]
-		for _, j := range jobs {
-			ev, ok := d.terminal[j.id]
-			if !ok {
-				pending = append(pending, j)
-				continue
-			}
-			if err := ex.replay(ctx, j, ev, d.retries[j.id]); err != nil {
-				obs.Log(ctx).Error("campaign aborted during journal replay", "app", plan.App, "err", err) //scalvet:ignore abort path, runs at most once per campaign
-				_ = d.close()
-				return nil, err
-			}
-			res.Resumed++
-		}
-		span.SetAttr("resumed", res.Resumed)
-		if mt := obs.Meter(ctx); mt != nil {
-			mt.Counter("scaltool_journal_replayed_runs_total", "campaign runs restored from the journal on resume").Add(uint64(res.Resumed))
-		}
-		obs.Log(ctx).Info("campaign resumed from journal", "app", plan.App,
-			"replayed", res.Resumed, "remaining", len(pending))
-	}
+	ex := &executor{rn: rn, app: app, res: res, cancel: cancel, sup: sup}
 
 	workers := rn.Workers
 	if workers <= 0 {
@@ -408,7 +364,7 @@ func (rn *Runner) execute(ctx context.Context, app apps.App, plan Plan, d *durab
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
 dispatch:
-	for _, j := range pending {
+	for _, j := range jobs {
 		select {
 		case <-ctx.Done():
 			break dispatch
@@ -439,23 +395,19 @@ dispatch:
 	ex.mu.Unlock()
 	if criticalErr != nil {
 		obs.Log(ctx).Error("campaign aborted", "app", plan.App, "err", criticalErr)
-		_ = d.close()
 		return nil, criticalErr
 	}
 	if err := ctx.Err(); err != nil {
-		_ = d.close()
 		return nil, fmt.Errorf("campaign: canceled: %w", err)
 	}
 	sort.Slice(res.Skipped, func(i, k int) bool { return res.Skipped[i] < res.Skipped[k] })
 	if len(res.UniRuns) < 3 {
-		_ = d.close()
 		return nil, fmt.Errorf("campaign: only %d usable uniprocessor runs (app grid too coarse for the plan)", len(res.UniRuns))
 	}
 	_, repairs, quarantines := res.Health.Counts()
 	span.SetAttr("repairs", repairs)
 	span.SetAttr("quarantines", quarantines)
 	obs.Log(ctx).Info("campaign finished", "app", plan.App, "health", res.Health.Summary())
-	res.dur = d
 	return res, nil
 }
 
@@ -464,32 +416,11 @@ type executor struct {
 	rn  *Runner
 	app apps.App
 	res *Result
-	d   *durable    // campaign journal; nil on a non-durable Execute
 	sup *supervisor // worker watchdog; nil when HeartbeatTimeout is unset
 
 	mu          sync.Mutex
 	criticalErr error
 	cancel      context.CancelFunc
-}
-
-// journal appends a campaign event to the WAL. On failure — an injected
-// crash point or a real I/O error — it aborts the campaign (the event was
-// not applied; resume re-derives it) and reports false so the caller stops.
-// Trivially true on a non-durable campaign.
-func (ex *executor) journal(ctx context.Context, ev event) bool {
-	if ex.d == nil {
-		return true
-	}
-	if err := ex.d.record(ctx, ev); err != nil {
-		ex.critical(err)
-		return false
-	}
-	return true
-}
-
-// runEvent pre-fills a run-scoped journal event.
-func runEvent(typ string, j job) event {
-	return event{Type: typ, Run: j.id, Kind: kindNames[j.kind], Procs: j.procs, Size: j.size}
 }
 
 // criticalJob reports whether losing a run makes the campaign unfittable:
@@ -519,11 +450,6 @@ func (ex *executor) run(ctx context.Context, j job) {
 		if j.kind == jobUni {
 			span.SetAttr("skipped", true)
 			obs.Log(ctx).Debug("size below the app's grid; skipped", "size", j.size)
-			ev := runEvent(evSkip, j)
-			ev.Reason = err.Error()
-			if !ex.journal(ctx, ev) {
-				return
-			}
 			ex.mu.Lock()
 			ex.res.Skipped = append(ex.res.Skipped, j.size)
 			ex.mu.Unlock()
@@ -547,11 +473,6 @@ func (ex *executor) run(ctx context.Context, j job) {
 	w := ex.sup.register(j.id)
 	defer ex.sup.release(j.id)
 	for attempt := 0; ; attempt++ {
-		ev := runEvent(evAttempt, j)
-		ev.Attempt = attempt
-		if !ex.journal(ctx, ev) {
-			return
-		}
 		actx := ctx
 		if w != nil {
 			// The supervisor watches this attempt: sim's region boundaries
@@ -574,12 +495,6 @@ func (ex *executor) run(ctx context.Context, j job) {
 			// not consume MaxRetries (the run never got to fail on its own).
 			reason := fmt.Errorf("campaign: %s attempt %d made no progress for %s; watchdog restarted it", j.id, attempt, rn.HeartbeatTimeout) //scalvet:ignore a watchdog restart is exceptional, and the error text is the record
 			ex.res.Health.AddRetry(j.id, attempt, 0, reason)
-			rev := runEvent(evRetry, j)
-			rev.Attempt = attempt
-			rev.Reason = reason.Error()
-			if !ex.journal(ctx, rev) {
-				return
-			}
 			if mt := obs.Meter(ctx); mt != nil {
 				mt.Counter("scaltool_campaign_runs_retried_total", "campaign attempts retried after a retryable failure").Inc()
 			}
@@ -591,6 +506,12 @@ func (ex *executor) run(ctx context.Context, j job) {
 			ex.accept(ctx, j, out)
 			return
 		}
+		if errors.Is(err, faultinject.ErrCrash) {
+			// An injected process death at a spill write: stop everything,
+			// as a killed process would, and record nothing about this run.
+			ex.critical(err)
+			return
+		}
 		if ctx.Err() != nil || !retryable(err) || attempt >= rn.MaxRetries {
 			span.SetAttr("attempts", attempt+1) //scalvet:ignore terminal path: runs once per job, then returns
 			ex.fail(ctx, j, err)
@@ -598,13 +519,6 @@ func (ex *executor) run(ctx context.Context, j job) {
 		}
 		backoff := rn.backoffFor(j.id, attempt)
 		ex.res.Health.AddRetry(j.id, attempt, backoff, err)
-		rev := runEvent(evRetry, j)
-		rev.Attempt = attempt
-		rev.BackoffNS = int64(backoff)
-		rev.Reason = err.Error()
-		if !ex.journal(ctx, rev) {
-			return
-		}
 		if mt := obs.Meter(ctx); mt != nil {
 			mt.Counter("scaltool_campaign_runs_retried_total", "campaign attempts retried after a retryable failure").Inc()
 		}
@@ -626,12 +540,6 @@ func (ex *executor) quarantineHung(ctx context.Context, j job, w *worker) {
 	}
 	ex.res.Health.Add(f)
 	logFindings(ctx, []health.Finding{f})
-	ev := runEvent(evQuarantine, j)
-	ev.Findings = []health.Finding{f}
-	ev.Reason = f.Detail
-	if !ex.journal(ctx, ev) {
-		return
-	}
 	ex.res.Health.AddQuarantine(j.id)
 	if mt := obs.Meter(ctx); mt != nil {
 		mt.Counter("scaltool_campaign_runs_quarantined_total", "campaign runs whose reports failed sanitization").Inc()
@@ -713,11 +621,6 @@ func (ex *executor) accept(ctx context.Context, j job, out *sim.Result) {
 	ex.res.Health.Add(findings...)
 	logFindings(ctx, findings)
 	if health.ShouldQuarantine(findings) {
-		ev := runEvent(evQuarantine, j)
-		ev.Findings = findings
-		if !ex.journal(ctx, ev) {
-			return
-		}
 		ex.res.Health.AddQuarantine(j.id)
 		if mt := obs.Meter(ctx); mt != nil {
 			mt.Counter("scaltool_campaign_runs_quarantined_total", "campaign runs whose reports failed sanitization").Inc()
@@ -728,15 +631,6 @@ func (ex *executor) accept(ctx context.Context, j job, out *sim.Result) {
 		return
 	}
 	out.Report = *clean
-	// WAL discipline: the sanitized report reaches the journal before the
-	// Result. The journaled report is byte-complete — replaying it on resume
-	// reproduces the exact model inputs this run contributed.
-	ev := runEvent(evDone, j)
-	ev.Report = clean
-	ev.Findings = findings
-	if !ex.journal(ctx, ev) {
-		return
-	}
 	if o := obs.FromContext(ctx); o != nil && o.Trace != nil && j.kind == jobBase {
 		// Export the run's simulated-time per-processor timeline alongside
 		// the wall-clock spans (base runs only: they are the Figure 6/9/12
@@ -746,7 +640,7 @@ func (ex *executor) accept(ctx context.Context, j job, out *sim.Result) {
 	ex.record(j, out)
 }
 
-// record stores an accepted (or replayed) run in the Result's maps.
+// record stores an accepted run in the Result's maps.
 func (ex *executor) record(j job, out *sim.Result) {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
@@ -767,17 +661,6 @@ func (ex *executor) record(j job, out *sim.Result) {
 
 // fail records a permanent failure and escalates if the run was critical.
 func (ex *executor) fail(ctx context.Context, j job, err error) {
-	// A run killed by campaign cancellation (graceful shutdown, or another
-	// worker's critical failure) is not permanently failed — it never got to
-	// finish. No terminal event is journaled, so Resume re-runs it instead of
-	// replaying a spurious failure.
-	if !errors.Is(err, context.Canceled) {
-		ev := runEvent(evFail, j)
-		ev.Reason = err.Error()
-		if !ex.journal(ctx, ev) {
-			return
-		}
-	}
 	ex.res.Health.AddFailure(j.id, err)
 	if mt := obs.Meter(ctx); mt != nil {
 		mt.Counter("scaltool_campaign_runs_failed_total", "campaign runs dropped after a permanent failure").Inc()

@@ -13,6 +13,7 @@
 package faultinject
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -33,9 +34,9 @@ const (
 	KindCorrupt   Kind = "corrupt"   // report file byte-corrupted
 	KindPoison    Kind = "poison"    // report made internally inconsistent (quarantine bait)
 	KindSkew      Kind = "skew"      // mildly inconsistent counters (repairable)
-	KindCrash     Kind = "crash"     // process dies before a journal append
-	KindTorn      Kind = "torn"      // process dies mid-append (torn record)
-	KindFsync     Kind = "fsync"     // journal fsync reports failure
+	KindCrash     Kind = "crash"     // process dies before a run-cache spill write
+	KindTorn      Kind = "torn"      // process dies mid-write (half-written temp file)
+	KindFsync     Kind = "fsync"     // spill fsync reports failure
 )
 
 // Fault records one injected fault, for tests that cross-check the health
@@ -121,61 +122,37 @@ func (in *Injector) Outcome(run string, attempt int) Decision {
 	return OK
 }
 
-// JournalDecision is the injector's verdict for one journal operation.
-type JournalDecision int
+// ErrCrash marks an injected process death at a spill write. A campaign
+// that sees it stops at once, as a killed process would; errors wrapping it
+// satisfy errors.Is(err, ErrCrash).
+var ErrCrash = errors.New("faultinject: injected crash")
 
-// Journal operation outcomes. The journal layer (via the campaign's hook)
-// maps them onto journal.Hook errors.
+// SpillDecision is the injector's verdict for one run-cache spill write.
+type SpillDecision int
+
+// Spill write outcomes (internal/runcache maps them onto its write path).
 const (
-	JournalOK       JournalDecision = iota // operation proceeds normally
-	JournalCrash                           // process dies before the write
-	JournalTorn                            // process dies mid-write: torn record
-	JournalSyncFail                        // fsync reports failure (record not durable)
+	SpillOK        SpillDecision = iota // write proceeds normally
+	SpillCrash                          // process dies before the write
+	SpillTorn                           // process dies mid-write: a half-written temp file is left behind
+	SpillFsyncFail                      // fsync fails: the entry is never published
 )
 
-// JournalAppend decides the fate of the Nth journal append (1-based,
-// campaign-wide). Crash points are exact counts, not probabilities, so a
-// test can sweep every append of a campaign deterministically.
-func (in *Injector) JournalAppend(n uint64) JournalDecision {
-	if in == nil {
-		return JournalOK
+// SpillWrite decides the fate of the Nth spill write of one cache (1-based).
+// Crash points are exact counts, not probabilities, so a test can sweep
+// every spill write of a campaign deterministically.
+func (in *Injector) SpillWrite(n uint64) SpillDecision {
+	switch {
+	case in == nil || n == 0:
+		return SpillOK
+	case n == in.spec.CrashAppend:
+		return SpillCrash
+	case n == in.spec.TornAppend:
+		return SpillTorn
+	case n == in.spec.FsyncFail:
+		return SpillFsyncFail
 	}
-	if in.spec.CrashAppend != 0 && n == in.spec.CrashAppend {
-		return JournalCrash
-	}
-	if in.spec.TornAppend != 0 && n == in.spec.TornAppend {
-		return JournalTorn
-	}
-	return JournalOK
-}
-
-// JournalSync decides the fate of the Nth journal fsync (1-based).
-func (in *Injector) JournalSync(n uint64) JournalDecision {
-	if in == nil || in.spec.FsyncFail == 0 || n != in.spec.FsyncFail {
-		return JournalOK
-	}
-	return JournalSyncFail
-}
-
-// JournalTargets reports whether the spec injects any journal-level fault.
-func (s Spec) JournalTargets() bool {
-	return s.CrashAppend > 0 || s.TornAppend > 0 || s.FsyncFail > 0
-}
-
-// TargetedRuns returns every run identity the spec names, deduplicated —
-// the set a resume validator checks against already-completed runs.
-func (s Spec) TargetedRuns() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, list := range [][]string{s.FailRuns, s.StallRuns, s.PoisonRuns, s.SkewRuns} {
-		for _, id := range list {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	return out
+	return SpillOK
 }
 
 // muxShareScale is the noise amplification of two-counter multiplexing: the

@@ -3,7 +3,6 @@ package faultinject
 import (
 	"bytes"
 	"reflect"
-	"sort"
 	"testing"
 
 	"scaltool/internal/counters"
@@ -224,38 +223,39 @@ func TestSpecParseErrors(t *testing.T) {
 }
 
 // TestSpecParseJournalKeys covers the durability fault keys: parse, render,
-// round-trip, and the Active/JournalTargets/TargetedRuns views the journal
-// hook and the resume pre-flight rely on.
+// round-trip, and the SpillWrite verdicts the run cache's write path acts on.
 func TestSpecParseJournalKeys(t *testing.T) {
 	spec, err := ParseSpec("seed=9,crashappend=3,tornappend=7,fsyncfail=11,failrun=a,stallrun=b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spec.CrashAppend != 3 || spec.TornAppend != 7 || spec.FsyncFail != 11 {
-		t.Fatalf("parsed journal counts %+v", spec)
+		t.Fatalf("parsed spill write counts %+v", spec)
 	}
-	if !spec.Active() || !spec.JournalTargets() {
-		t.Fatalf("journal-fault spec reported inactive: %+v", spec)
-	}
-	targets := spec.TargetedRuns()
-	sort.Strings(targets)
-	if !reflect.DeepEqual(targets, []string{"a", "b"}) {
-		t.Fatalf("TargetedRuns = %v", targets)
+	if !spec.Active() {
+		t.Fatalf("durability-fault spec reported inactive: %+v", spec)
 	}
 	again, err := ParseSpec(spec.String())
 	if err != nil {
 		t.Fatalf("re-parsing %q: %v", spec.String(), err)
 	}
 	if !reflect.DeepEqual(spec, again) {
-		t.Fatalf("journal keys round trip changed the spec:\n  %+v\n  %+v", spec, again)
+		t.Fatalf("durability keys round trip changed the spec:\n  %+v\n  %+v", spec, again)
 	}
-	for _, one := range []Spec{{CrashAppend: 1}, {TornAppend: 1}, {FsyncFail: 1}} {
-		if !one.Active() || !one.JournalTargets() {
-			t.Errorf("spec %+v must be active and journal-targeting", one)
+	in := New(spec)
+	for n, want := range map[uint64]SpillDecision{1: SpillOK, 3: SpillCrash, 7: SpillTorn, 11: SpillFsyncFail, 12: SpillOK} {
+		if got := in.SpillWrite(n); got != want {
+			t.Errorf("SpillWrite(%d) = %d, want %d", n, got, want)
 		}
 	}
-	if (Spec{Seed: 1}).JournalTargets() {
-		t.Error("seed-only spec claims journal targets")
+	for _, one := range []Spec{{CrashAppend: 1}, {TornAppend: 1}, {FsyncFail: 1}} {
+		if !one.Active() || New(one).SpillWrite(1) == SpillOK {
+			t.Errorf("spec %+v must be active and fault spill write 1", one)
+		}
+	}
+	var nilInj *Injector
+	if nilInj.SpillWrite(1) != SpillOK || New(Spec{Seed: 1}).SpillWrite(1) != SpillOK {
+		t.Error("an injector without durability keys faulted a spill write")
 	}
 	for _, bad := range []string{"crashappend=-1", "tornappend=x", "fsyncfail=1.5"} {
 		if _, err := ParseSpec(bad); err == nil {

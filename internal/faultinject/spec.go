@@ -39,19 +39,19 @@ type Spec struct {
 	// policy always converges (default 1).
 	MaxFailures int
 
-	// Durability faults, for the write-ahead journal (internal/journal).
-	// Append and sync counts are 1-based and campaign-wide, so a sweep over
-	// CrashAppend = 1..N kills the campaign at every journal write — the
-	// crash-recovery invariant test. 0 disables each.
+	// Durability faults, at the run cache's spill writes (internal/runcache).
+	// Write counts are 1-based per cache, so a sweep over CrashAppend =
+	// 1..N kills the campaign at every spill write — the crash-recovery
+	// invariant test. 0 disables each.
 
-	// CrashAppend kills the process model cleanly before the Nth journal
-	// append: the record never reaches the file.
+	// CrashAppend kills the process model cleanly before the Nth spill
+	// write: the entry never reaches the directory.
 	CrashAppend uint64
-	// TornAppend kills it midway through the Nth append: half the record's
-	// frame lands on disk (a torn write the journal must truncate on open).
+	// TornAppend kills it midway through the Nth write: half the frame
+	// lands in a temp file that is never renamed into place.
 	TornAppend uint64
-	// FsyncFail makes the Nth journal fsync report failure: the record is
-	// in the page cache but has no durability guarantee.
+	// FsyncFail makes the Nth spill write's fsync report failure: the
+	// entry is not published, and the process stops.
 	FsyncFail uint64
 
 	// Targeted faults, by run identity.
@@ -84,7 +84,7 @@ func (s *Spec) listFields() map[string]*[]string {
 //
 // Keys: seed, maxfail (integers); noise, drop, wrap, transient, hang,
 // truncate, corrupt (probabilities in [0,1]); crashappend, tornappend,
-// fsyncfail (1-based journal operation counts); failrun, stallrun,
+// fsyncfail (1-based spill write counts); failrun, stallrun,
 // poisonrun, skewrun (run identities, repeatable).
 func ParseSpec(text string) (Spec, error) {
 	var s Spec

@@ -10,8 +10,8 @@
 //
 // The cache is an in-memory LRU with a byte budget, fronted by singleflight
 // deduplication (concurrent identical requests share one simulation), with
-// optional disk spill: evicted entries are written under a directory and
-// reloaded on the next miss instead of re-simulating.
+// an optional write-through disk tier: every simulated result is written
+// under a directory and reloaded on a memory miss instead of re-simulating.
 package runcache
 
 import (

@@ -78,8 +78,8 @@ func hammerSpill(c *Cache, cfg machine.Config, iters int, mt *obs.Metrics) error
 			if err != nil {
 				return err
 			}
-			if !c.writeSpill(key, res) {
-				return fmt.Errorf("writeSpill(%s) failed on iter %d", key, it)
+			if err := c.writeSpill(key, res); err != nil {
+				return fmt.Errorf("writeSpill(%s) on iter %d: %w", key, it, err)
 			}
 			got, ok := c.loadSpill(key, mt)
 			if !ok {

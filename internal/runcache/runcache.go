@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"scaltool/internal/faultinject"
 	"scaltool/internal/machine"
@@ -25,17 +25,18 @@ type Options struct {
 	// <= 0 selects DefaultMaxBytes. A single entry larger than the budget
 	// is returned to the caller but not retained.
 	MaxBytes int64
-	// SpillDir, when non-empty, enables disk spill: entries evicted from
-	// memory are written there (one file per key) and reloaded on the next
-	// miss instead of re-simulating. The directory is created on first use;
-	// campaigns typically point it under the journal directory. Every spill
-	// file carries a CRC-32C frame (see spill.go); entries that fail the
-	// check on load are quarantined under SpillDir/quarantine and treated as
-	// misses.
+	// SpillDir, when non-empty, enables the disk tier: every simulated
+	// result is written through to it (one file per key) and reloaded on a
+	// memory miss instead of re-simulating, so rerunning an interrupted
+	// campaign against the same directory resumes it. The directory is
+	// created on first use. Every spill file carries a CRC-32C frame (see
+	// spill.go); entries that fail the check on load are quarantined under
+	// SpillDir/quarantine and treated as misses.
 	SpillDir string
 	// Inject, when non-nil, mangles spill frames on their way to disk
-	// (truncation, byte corruption) — the deterministic torn-write chaos
-	// hook. Production caches leave it nil.
+	// (truncation, byte corruption) and kills the process model at an exact
+	// spill write (crash, torn write, failed fsync) — the deterministic
+	// chaos hooks. Production caches leave it nil.
 	Inject *faultinject.Injector
 }
 
@@ -44,11 +45,12 @@ const DefaultMaxBytes = 256 << 20
 
 // Cache is a content-addressed result cache: LRU over Key with a byte
 // budget, singleflight deduplication of concurrent identical requests, and
-// optional disk spill. Safe for concurrent use.
+// an optional write-through disk tier. Safe for concurrent use.
 type Cache struct {
 	maxBytes int64
 	spillDir string
 	inject   *faultinject.Injector
+	writes   atomic.Uint64 // spill writes attempted, numbering Inject's write faults
 
 	mu       sync.Mutex
 	ll       *list.List // front = most recent
@@ -190,7 +192,8 @@ func (c *Cache) GetOrRunKey(ctx context.Context, key Key, run RunFunc) (res *sim
 }
 
 // lead executes the miss path as the key's singleflight leader: disk tier,
-// then a real simulation, then publication to waiters and the LRU.
+// then a real simulation written through to disk, then publication to
+// waiters and the LRU.
 func (c *Cache) lead(ctx context.Context, key Key, fl *flight, run RunFunc, mt *obs.Metrics) (*sim.Result, bool, error) {
 	// A panicking leader must still publish to its waiters: without this,
 	// every request joined on the flight would block forever on fl.done and
@@ -213,13 +216,21 @@ func (c *Cache) lead(ctx context.Context, key Key, fl *flight, run RunFunc, mt *
 	out, diskHit := c.loadSpill(key, mt)
 	var err error
 	if out == nil {
-		out, err = run(ctx)
+		// Write-through: a simulated result reaches disk before any caller
+		// sees it, so every run this cache completed outlives the process.
+		// A real I/O failure only loses the disk copy (the run re-simulates
+		// when next needed); an injected crash kills the flight.
+		if out, err = run(ctx); err == nil {
+			if werr := c.writeSpill(key, out); errors.Is(werr, faultinject.ErrCrash) {
+				out, err = nil, werr
+			}
+		}
 	}
 
 	fl.res, fl.err = out, err
 	c.mu.Lock()
 	delete(c.inflight, key)
-	var evicted []*entry
+	evicted := 0
 	if err == nil && out != nil {
 		evicted = c.insert(key, out)
 	}
@@ -227,13 +238,8 @@ func (c *Cache) lead(ctx context.Context, key Key, fl *flight, run RunFunc, mt *
 	close(fl.done)
 	published = true
 
-	// Spill evictions outside the lock: disk I/O must not stall readers.
-	for _, ev := range evicted {
-		spilled := c.writeSpill(ev.key, ev.res)
-		if mt != nil {
-			mt.Counter("scaltool_runcache_evictions_total", "run-cache LRU evictions",
-				"spilled", strconv.FormatBool(spilled)).Inc()
-		}
+	if mt != nil && evicted > 0 {
+		mt.Counter("scaltool_runcache_evictions_total", "run-cache LRU evictions (the memory copy is dropped)").Add(uint64(evicted))
 	}
 
 	if err != nil {
@@ -252,15 +258,15 @@ func (c *Cache) lead(ctx context.Context, key Key, fl *flight, run RunFunc, mt *
 	return out.Clone(), diskHit, nil
 }
 
-// insert adds a result under c.mu, evicting past the byte budget; the
-// caller spills the returned evictions after releasing the lock.
-func (c *Cache) insert(key Key, res *sim.Result) (evicted []*entry) {
+// insert adds a result under c.mu, evicting past the byte budget, and
+// returns how many entries it evicted.
+func (c *Cache) insert(key Key, res *sim.Result) (evicted int) {
 	if _, dup := c.items[key]; dup {
-		return nil
+		return 0
 	}
 	size := res.SizeEstimate()
 	if size > c.maxBytes {
-		return nil // would evict everything and still not fit
+		return 0 // would evict everything and still not fit
 	}
 	c.items[key] = c.ll.PushFront(&entry{key: key, res: res, size: size})
 	c.bytes += size
@@ -273,7 +279,7 @@ func (c *Cache) insert(key Key, res *sim.Result) (evicted []*entry) {
 		c.ll.Remove(el)
 		delete(c.items, ev.key)
 		c.bytes -= ev.size
-		evicted = append(evicted, ev)
+		evicted++
 	}
 	return evicted
 }

@@ -267,8 +267,9 @@ func TestLRUEvictionProperty(t *testing.T) {
 	}
 }
 
-// TestDiskSpill checks evicted entries land on disk and are reloaded —
-// byte-identical, segments included — instead of re-simulated.
+// TestDiskSpill checks simulated entries land on disk and, once evicted
+// from memory, are reloaded — byte-identical, segments included — instead
+// of re-simulated.
 func TestDiskSpill(t *testing.T) {
 	cfg := machine.TinyTest()
 	dir := t.TempDir()
@@ -293,13 +294,13 @@ func TestDiskSpill(t *testing.T) {
 		return res, hit
 	}
 	get(0)
-	get(1) // evicts 0 → spill
+	get(1) // evicts 0 from memory; its spill file stays
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ents) == 0 {
-		t.Fatal("eviction wrote no spill file")
+		t.Fatal("no spill file written")
 	}
 	res, hit, runsBefore := (*sim.Result)(nil), false, runs
 	res, hit = get(0) // must come from disk

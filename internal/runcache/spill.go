@@ -4,24 +4,32 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 
-	"scaltool/internal/journal"
+	"scaltool/internal/faultinject"
 	"scaltool/internal/obs"
 	"scaltool/internal/sim"
 )
 
-// Spill integrity. A spilled entry is written through a temp file + rename,
-// which protects against a torn write of the *final* name — but says nothing
-// about bit rot, a filesystem that lied about durability, or an operator
-// truncating files. A corrupt spill entry must never be decoded into a
+// Spill policy. With a SpillDir every simulated result is written through
+// to disk as its flight completes, before any caller sees it, so the
+// directory holds every run the cache ever simulated: a restarted process
+// (or a rerun campaign) finds them all as disk hits, and an LRU eviction
+// only drops the memory copy. The write goes to a temp file that is
+// fsynced, renamed into place, and followed by a directory fsync, so a
+// published entry survives power loss.
+//
+// Spill integrity. The temp file + rename protects against a torn write of
+// the *final* name — but says nothing about bit rot, a filesystem that lied
+// about durability, or an operator truncating files. A corrupt spill entry must never be decoded into a
 // half-real Result and served as if it were a simulation: the simulator is
 // deterministic, so the safe conversion for any damage is a cache miss and a
 // re-simulation.
 //
-// Every spill file is therefore framed, reusing the journal's CRC-32C
-// (Castagnoli) machinery:
+// Every spill file is therefore framed with a CRC-32C (Castagnoli)
+// checksum:
 //
 //	[8-byte magic "SCSPILL1"][8-byte LE payload length][4-byte LE CRC-32C][payload]
 //
@@ -56,6 +64,8 @@ var spillMagic = [8]byte{'S', 'C', 'S', 'P', 'I', 'L', 'L', '1'}
 
 const spillHeaderBytes = 8 + 8 + 4
 
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // quarantineDirName is the subdirectory of SpillDir that holds entries that
 // failed their integrity check.
 const quarantineDirName = "quarantine"
@@ -69,7 +79,7 @@ func encodeSpillFrame(res *sim.Result) ([]byte, error) {
 	out := make([]byte, spillHeaderBytes+payload.Len())
 	copy(out[:8], spillMagic[:])
 	binary.LittleEndian.PutUint64(out[8:16], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(out[16:20], journal.Checksum(payload.Bytes()))
+	binary.LittleEndian.PutUint32(out[16:20], crc32.Checksum(payload.Bytes(), castagnoli))
 	copy(out[spillHeaderBytes:], payload.Bytes())
 	return out, nil
 }
@@ -86,7 +96,7 @@ func decodeSpillFrame(data []byte) (*sim.Result, string, error) {
 	if uint64(len(body)) != plen {
 		return nil, "torn", fmt.Errorf("runcache: spill frame declares %d payload bytes, has %d", plen, len(body))
 	}
-	if got, want := journal.Checksum(body), binary.LittleEndian.Uint32(data[16:20]); got != want {
+	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(data[16:20]); got != want {
 		return nil, "crc", fmt.Errorf("runcache: spill frame CRC %08x, want %08x", got, want)
 	}
 	res, err := sim.DecodeResult(bytes.NewReader(body))
@@ -109,44 +119,67 @@ func (c *Cache) quarantineSpill(path string) {
 	_ = os.Remove(path)
 }
 
-// writeSpill persists an evicted entry; failures only lose the spill copy.
-// The write goes through a temp file + rename so a torn write never leaves a
-// half-entry under the final name, and the frame's CRC catches everything
-// rename cannot. The injector hook (Options.Inject) mangles the framed bytes
-// before they reach disk — the chaos tests' torn-write and bit-rot point.
-func (c *Cache) writeSpill(key Key, res *sim.Result) bool {
+// writeSpill writes a simulated result to disk under its key. An injected
+// durability fault (Options.Inject) models the process dying at this write
+// and returns an error wrapping faultinject.ErrCrash. The injector also
+// mangles the framed bytes on their way to disk — the chaos tests'
+// torn-write and bit-rot point, which the CRC catches.
+func (c *Cache) writeSpill(key Key, res *sim.Result) error {
 	path := c.spillPath(key)
 	if path == "" {
-		return false
+		return nil
+	}
+	n := c.writes.Add(1)
+	fault := c.inject.SpillWrite(n)
+	if fault == faultinject.SpillCrash {
+		return fmt.Errorf("runcache: crash before spill write %d: %w", n, faultinject.ErrCrash)
 	}
 	framed, err := encodeSpillFrame(res)
 	if err != nil {
-		return false
+		return err
 	}
 	if c.inject != nil {
 		framed, _ = c.inject.MangleFile(filepath.Base(path), framed)
 	}
 	if err := os.MkdirAll(c.spillDir, 0o755); err != nil {
-		return false
+		return err
 	}
 	tmp, err := os.CreateTemp(c.spillDir, "spill-*.tmp")
 	if err != nil {
-		return false
+		return err
 	}
-	if _, err := tmp.Write(framed); err != nil {
+	if fault == faultinject.SpillTorn {
+		// The process dies mid-write: half the frame stays in a temp file
+		// that is never renamed, so no reader can see it.
+		_, _ = tmp.Write(framed[:len(framed)/2])
 		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return false
+		return fmt.Errorf("runcache: crash during spill write %d: %w", n, faultinject.ErrCrash)
 	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return false
+	_, err = tmp.Write(framed)
+	if err == nil {
+		if fault == faultinject.SpillFsyncFail {
+			err = fmt.Errorf("runcache: fsync failed at spill write %d: %w", n, faultinject.ErrCrash)
+		} else {
+			err = tmp.Sync()
+		}
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
-		return false
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	return true
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+		return err
+	}
+	// Make the new name itself durable. A failure here still leaves a
+	// complete, verified entry; at worst power loss turns it into a miss.
+	if d, err := os.Open(c.spillDir); err == nil {
+		_ = d.Sync()
+		_ = d.Close()
+	}
+	return nil
 }
 
 // loadSpill reads a spilled entry back, or nil. An entry that fails its

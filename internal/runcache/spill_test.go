@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"scaltool/internal/faultinject"
-	"scaltool/internal/journal"
 	"scaltool/internal/machine"
 	"scaltool/internal/obs"
 	"scaltool/internal/sim"
@@ -43,6 +44,37 @@ func TestSpillFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpillFrameGolden decodes a frame recorded by an earlier build of the
+// spill writer, so existing spill directories stay readable, and requires
+// today's writer to reproduce it byte for byte, so neither the layout nor
+// the CRC-32C can drift. The frame holds a TinyTest simulation of
+// testProg("golden", 2 procs, 1 region); never regenerate it.
+func TestSpillFrameGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "spill_frame_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, damage, err := decodeSpillFrame(golden)
+	if err != nil {
+		t.Fatalf("recorded frame no longer decodes (%s): %v", damage, err)
+	}
+	cfg := machine.TinyTest()
+	want, err := sim.Run(cfg, testProg(t, cfg, "golden", 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(t, res), encode(t, want)) {
+		t.Fatal("recorded frame decodes to a different result than a fresh simulation")
+	}
+	again, err := encodeSpillFrame(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, golden) {
+		t.Fatal("spill writer no longer reproduces the recorded frame")
+	}
+}
+
 // TestSpillFrameDamageClasses mutates a valid frame one way per damage class
 // and checks each is detected, classified, and never decoded into a Result.
 func TestSpillFrameDamageClasses(t *testing.T) {
@@ -61,7 +93,7 @@ func TestSpillFrameDamageClasses(t *testing.T) {
 	undecodable := make([]byte, spillHeaderBytes+len(badPayload))
 	copy(undecodable[:8], spillMagic[:])
 	binary.LittleEndian.PutUint64(undecodable[8:16], uint64(len(badPayload)))
-	binary.LittleEndian.PutUint32(undecodable[16:20], journal.Checksum(badPayload))
+	binary.LittleEndian.PutUint32(undecodable[16:20], crc32.Checksum(badPayload, castagnoli))
 	copy(undecodable[spillHeaderBytes:], badPayload)
 
 	cases := []struct {
@@ -105,8 +137,8 @@ func TestSpillLoadQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	c := New(Options{MaxBytes: 1 << 20, SpillDir: dir})
 	key := KeyFor(cfg, prog)
-	if !c.writeSpill(key, res) {
-		t.Fatal("writeSpill failed")
+	if err := c.writeSpill(key, res); err != nil {
+		t.Fatal(err)
 	}
 	mt := obs.NewMetrics()
 
@@ -175,8 +207,8 @@ func TestSpillFaultInjection(t *testing.T) {
 			want := encode(t, res)
 			c := New(Options{MaxBytes: 1 << 20, SpillDir: dir, Inject: faultinject.New(tc.spec)})
 			key := KeyFor(cfg, prog)
-			if !c.writeSpill(key, res) {
-				t.Fatal("writeSpill failed")
+			if err := c.writeSpill(key, res); err != nil {
+				t.Fatal(err)
 			}
 
 			mt := obs.NewMetrics()
@@ -206,5 +238,77 @@ func TestSpillFaultInjection(t *testing.T) {
 				t.Fatal("re-simulated result differs from the original")
 			}
 		})
+	}
+}
+
+// TestSpillWriteThrough checks the disk tier's write policy: a simulated
+// result is published before GetOrRun returns, with no eviction needed, and
+// an injected fault at that write (crash, torn write, failed fsync) fails
+// the call with faultinject.ErrCrash, publishes nothing, and caches
+// nothing — the next request simulates again and publishes normally.
+func TestSpillWriteThrough(t *testing.T) {
+	cfg := machine.TinyTest()
+	prog := testProg(t, cfg, "app", 2, 2)
+	for _, tc := range []struct {
+		name  string
+		spec  faultinject.Spec
+		temps int // temp files a fault leaves behind
+	}{
+		{"no fault", faultinject.Spec{}, 0},
+		{"crash", faultinject.Spec{CrashAppend: 1}, 0},
+		{"torn write", faultinject.Spec{TornAppend: 1}, 1},
+		{"fsync failure", faultinject.Spec{FsyncFail: 1}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := New(Options{MaxBytes: 1 << 20, SpillDir: dir, Inject: faultinject.New(tc.spec)})
+			runs := 0
+			get := func() error {
+				_, _, err := c.GetOrRun(context.Background(), cfg, prog, func(ctx context.Context) (*sim.Result, error) {
+					runs++
+					return sim.RunContext(ctx, cfg, prog)
+				})
+				return err
+			}
+			published := func() bool {
+				_, err := os.Stat(c.spillPath(KeyFor(cfg, prog)))
+				return err == nil
+			}
+			err := get()
+			faulted := tc.spec.Active()
+			if faulted != errors.Is(err, faultinject.ErrCrash) || faulted == published() {
+				t.Fatalf("first write: err = %v, published = %v", err, published())
+			}
+			if temps, _ := filepath.Glob(filepath.Join(dir, "spill-*.tmp")); len(temps) != tc.temps {
+				t.Fatalf("%d temp files left, want %d", len(temps), tc.temps)
+			}
+			if err := get(); err != nil || !published() {
+				t.Fatalf("second request: err = %v, published = %v", err, published())
+			}
+			if want := map[bool]int{false: 1, true: 2}[faulted]; runs != want {
+				t.Fatalf("%d simulations, want %d", runs, want)
+			}
+		})
+	}
+}
+
+// TestSpillWriteFailureIsNotFatal points the disk tier at a path that
+// cannot be a directory: a real I/O failure only loses the disk copy, and
+// the simulated result is still returned and cached in memory.
+func TestSpillWriteFailureIsNotFatal(t *testing.T) {
+	cfg := machine.TinyTest()
+	prog := testProg(t, cfg, "app", 2, 2)
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := New(Options{MaxBytes: 1 << 20, SpillDir: notDir})
+	for i, wantHit := range []bool{false, true} {
+		res, hit, err := c.GetOrRun(context.Background(), cfg, prog, func(ctx context.Context) (*sim.Result, error) {
+			return sim.RunContext(ctx, cfg, prog)
+		})
+		if err != nil || res == nil || hit != wantHit {
+			t.Fatalf("request %d: res=%v hit=%v err=%v", i, res != nil, hit, err)
+		}
 	}
 }

@@ -26,7 +26,7 @@ go test -run 'TestHeartbeat' ./internal/sim/
 echo "==> chaos smoke (fault-injected campaigns under the race detector)"
 go test -run Chaos -skip 'Chaos.*Resume' -race ./internal/campaign/...
 
-echo "==> kill-resume chaos gate (killed at every journal op; resume must be byte-identical)"
+echo "==> kill-resume chaos gate (killed at every spill write; resume must be byte-identical)"
 go test -run 'Chaos.*Resume' -race ./internal/campaign/...
 
 echo "==> observability e2e (tiny campaign; trace + metrics must parse)"
